@@ -42,10 +42,10 @@ __all__ = [
 def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
     """Uniformly keep at most ``fanout`` leaves per root of a flat HDG.
 
-    Per-edge random keys are ranked within each root's contiguous
-    segment — fully vectorized.  PinSage-style importance weights are
-    renormalized over the kept edges so the weighted sum stays a proper
-    average.
+    One ``argsort`` of ``owner + key`` (keys in [0, 1)) ranks every root's
+    segment; the first ``fanout`` by rank are kept, in segment order.
+    PinSage-style importance weights are renormalized over the kept edges
+    so the weighted sum stays a proper average.
     """
     if hdg.depth != 1:
         raise ValueError(
@@ -60,12 +60,8 @@ def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
     num_edges = hdg.leaf_vertices.size
     owner = np.repeat(np.arange(hdg.num_roots, dtype=np.int64), counts)
     keys = rng.random(num_edges)
-    order = np.lexsort((keys, owner))
-    group_start = np.zeros(num_edges, dtype=np.int64)
-    change = np.flatnonzero(np.diff(owner[order], prepend=owner[order[0]] - 1))
-    group_start[change] = change
-    group_start = np.maximum.accumulate(group_start)
-    rank = np.arange(num_edges) - group_start
+    order = np.argsort(owner + keys)
+    rank = np.arange(num_edges) - hdg.leaf_offsets[owner]
     keep = np.sort(order[rank < fanout])
 
     new_counts = np.minimum(counts, fanout)
@@ -82,6 +78,15 @@ def sample_fanout(hdg: HDG, fanout: int, rng: np.random.Generator) -> HDG:
         instance_offsets=None, leaf_weights=weights,
         num_input_vertices=hdg.num_input_vertices,
     )
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` by sort and adjacent-difference mask, avoiding
+    the slower hash pass ``np.unique`` makes on numpy 2.3+."""
+    ids = np.sort(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def build_block(hdg: HDG, vertices: np.ndarray, fanout: int | None = None,
@@ -118,12 +123,12 @@ def build_seed_blocks(
     ``fanouts`` entries may be ``None`` for exact full-neighborhood
     blocks.
     """
-    need = np.unique(np.asarray(seeds, dtype=np.int64))
+    need = _sorted_unique(np.asarray(seeds, dtype=np.int64))
     reversed_blocks: list[tuple[HDG, np.ndarray]] = []
     for fanout in reversed(list(fanouts)):
         block = build_block(hdg, need, fanout, rng)
         reversed_blocks.append((block, need))
-        need = np.unique(np.concatenate([need, block.leaf_vertices]))
+        need = _sorted_unique(np.concatenate([need, block.leaf_vertices]))
     return list(reversed(reversed_blocks))
 
 
@@ -131,9 +136,10 @@ def build_seed_blocks(
 class MiniBatchEpochStats:
     """Outcome of one sampled mini-batch epoch.
 
-    The stage fields break the epoch down by pipeline stage: *sample*,
-    *gather* and *transfer* are production work (overlappable with
-    training when ``prefetch_depth > 0``), *train* is the sequential
+    The stage fields break the epoch down by pipeline stage: *sample*
+    (block building and the :func:`~repro.loader.compact_blocks`
+    relabel), *gather* and *transfer* are production work (overlappable
+    with training when ``prefetch_depth > 0``), *train* is the sequential
     forward/backward/step, and *wait* is how long the training loop sat
     idle waiting for the next batch.  ``overlap_efficiency`` is
     ``1 - wait / (sample + gather + transfer)`` clamped to [0, 1]: 0

@@ -21,7 +21,7 @@ import numpy as np
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel, SelectionScope
-from ..core.sampling import sample_fanout
+from ..core.sampling import build_seed_blocks
 from ..graph.graph import Graph
 from ..tensor.loss import cross_entropy
 from ..tensor.ops import scatter_rows
@@ -98,17 +98,6 @@ class DistributedMiniBatchTrainer:
             self._hdg_epoch = epoch
         return self._model_hdg
 
-    def _worker_blocks(self, hdg: HDG, seeds: np.ndarray):
-        """Per-layer (block, out_vertices) for one worker's seed batch."""
-        need = np.unique(seeds)
-        reversed_blocks = []
-        for fanout in reversed(self.fanouts):
-            sub = hdg.restrict_to_roots(need)
-            block = sample_fanout(sub, fanout, self._rng)
-            reversed_blocks.append((block, need))
-            need = np.unique(np.concatenate([need, block.leaf_vertices]))
-        return list(reversed(reversed_blocks)), need
-
     # ------------------------------------------------------------------
     def train_epoch(
         self,
@@ -167,7 +156,7 @@ class DistributedMiniBatchTrainer:
                 if seeds.size == 0:
                     continue
                 t0 = time.perf_counter()
-                blocks, input_vertices = self._worker_blocks(hdg, seeds)
+                blocks = build_seed_blocks(hdg, seeds, self.fanouts, self._rng)
                 if source is None:
                     h = feats
                     for layer, (block, out_vertices) in zip(self.model.layers, blocks):
@@ -175,12 +164,14 @@ class DistributedMiniBatchTrainer:
                         h_rows = layer.update(h[out_vertices], nbr)
                         h = scatter_rows(h_rows, out_vertices, n)
                     round_logits.append(h[seeds])
+                    input_vertices = np.union1d(blocks[0][1], blocks[0][0].leaf_vertices)
                     feat_bytes = int(feats.shape[1]) * feats.data.dtype.itemsize
                 else:
                     from ..loader.pipeline import compact_blocks, run_local_blocks
 
                     compact = compact_blocks(blocks, seeds)
-                    rows = source.gather_features(compact.input_vertices)
+                    input_vertices = compact.input_vertices
+                    rows = source.gather_features(input_vertices)
                     h = run_local_blocks(self.model, compact, Tensor(rows),
                                          self.strategy)
                     round_logits.append(h[compact.seed_rows])
@@ -197,12 +188,10 @@ class DistributedMiniBatchTrainer:
                 )
                 # Remote feature fetches: input-block vertices owned by
                 # other workers, one batched message per source worker.
-                remote = input_vertices[self.labels_part[input_vertices] != w]
-                if remote.size:
-                    owners = self.labels_part[remote]
-                    for src_w in np.unique(owners):
-                        count = int((owners == src_w).sum())
-                        comm.send(int(src_w), w, count * feat_bytes, messages=1)
+                remote_rows = np.bincount(self.labels_part[input_vertices], minlength=self.k)
+                remote_rows[w] = 0
+                for src_w in np.flatnonzero(remote_rows):
+                    comm.send(int(src_w), w, int(remote_rows[src_w]) * feat_bytes, messages=1)
             if not round_logits:
                 continue
             from ..tensor.ops import concat

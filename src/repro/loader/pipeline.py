@@ -105,19 +105,22 @@ class CompactBlocks:
 
 def compact_blocks(blocks: list[tuple[HDG, np.ndarray]],
                    seeds: np.ndarray) -> CompactBlocks:
-    """Relabel :func:`build_seed_blocks` output into local coordinates."""
-    first_block, first_out = blocks[0]
-    input_vertices = np.union1d(first_out, first_block.leaf_vertices)
-
-    def local(ids: np.ndarray) -> np.ndarray:
-        return np.searchsorted(input_vertices, ids)
+    """Relabel :func:`build_seed_blocks` output into local coordinates:
+    one ``np.unique(..., return_inverse=True)`` over the seeds and every
+    block's output and leaf ids, its inverse split back per array."""
+    parts = [np.asarray(seeds, dtype=np.int64)]
+    parts += [ids for block, out in blocks for ids in (out, block.leaf_vertices)]
+    input_vertices, inverse = np.unique(np.concatenate(parts),
+                                        return_inverse=True)
+    seed_rows, *local_ids = np.split(inverse,
+                                     np.cumsum([p.size for p in parts[:-1]]))
 
     local_blocks: list[tuple[HDG, np.ndarray]] = []
-    for block, out_vertices in blocks:
-        out_local = local(out_vertices)
+    for (block, _), out_local, leaf_local in zip(blocks, local_ids[0::2],
+                                                 local_ids[1::2]):
         local_blocks.append((
             HDG(
-                out_local, block.schema, local(block.leaf_vertices),
+                out_local, block.schema, leaf_local,
                 block.leaf_offsets, instance_offsets=None,
                 leaf_weights=block.leaf_weights,
                 num_input_vertices=input_vertices.size,
@@ -127,7 +130,7 @@ def compact_blocks(blocks: list[tuple[HDG, np.ndarray]],
     return CompactBlocks(
         input_vertices=input_vertices,
         blocks=local_blocks,
-        seed_rows=local(np.asarray(seeds, dtype=np.int64)),
+        seed_rows=seed_rows,
     )
 
 

@@ -127,6 +127,44 @@ class TestValidate:
             bench.validate_report(report)
 
 
+def _ondisk_report(speedup=1.5):
+    rows = [{"name": f"ondisk-stream-prefetch{d}", "prefetch_depth": d,
+             "median_epoch_seconds": 1.0, "overlap_efficiency": 0.5,
+             "final_loss": 2.5} for d in (0, 2)]
+    report = {"schema": bench.ONDISK_SCHEMA, "configs": rows}
+    if speedup is not None:
+        report["prefetch_speedup"] = speedup
+    return report
+
+
+class TestValidateOndisk:
+    def test_good_report_passes(self):
+        bench.validate_ondisk_report(_ondisk_report())
+
+    def test_no_speedup_rejected(self):
+        with pytest.raises(ValueError, match="floor"):
+            bench.validate_ondisk_report(_ondisk_report(speedup=1.0))
+
+    def test_speedup_at_floor_rejected(self):
+        with pytest.raises(ValueError, match="floor"):
+            bench.validate_ondisk_report(
+                _ondisk_report(speedup=bench.ONDISK_MIN_PREFETCH_SPEEDUP))
+
+    def test_missing_speedup_rejected(self):
+        with pytest.raises(ValueError, match="missing prefetch_speedup"):
+            bench.validate_ondisk_report(_ondisk_report(speedup=None))
+
+    def test_loss_drift_rejected(self):
+        report = _ondisk_report()
+        report["configs"][1]["final_loss"] = 2.5000000000000004
+        with pytest.raises(ValueError, match="training stream"):
+            bench.validate_ondisk_report(report)
+
+    def test_committed_report_passes(self):
+        with open(bench.ONDISK_OUTPUT) as fh:
+            bench.validate_ondisk_report(json.load(fh))
+
+
 class TestPercentile:
     def test_interpolation(self):
         assert bench._percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5

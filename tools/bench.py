@@ -85,6 +85,8 @@ QUANT_MAX_DRIFT = 0.01
 ONDISK_SIZES = {"tiny": (20_000, 200_000, 32), "small": (60_000, 1_200_000, 64)}
 #: modeled H2D-link bandwidth of the --ondisk bench's transfer stub
 ONDISK_TRANSFER_GBPS = 0.5
+#: gate: prefetch 2 must beat the synchronous epoch median by this factor
+ONDISK_MIN_PREFETCH_SPEEDUP = 1.2
 #: worker counts the --distributed scaling sweep measures
 DIST_WORKER_COUNTS = (1, 2, 4)
 #: default regression tolerance of the --check-against gate
@@ -479,8 +481,14 @@ def validate_ondisk_report(report: dict) -> None:
             f"prefetch changed the training stream: loss "
             f"{rows[0]['final_loss']!r} != {rows[2]['final_loss']!r}"
         )
-    if report.get("prefetch_speedup", 0) <= 0:
-        raise ValueError("missing or non-positive prefetch_speedup")
+    speedup = report.get("prefetch_speedup")
+    if speedup is None:
+        raise ValueError("missing prefetch_speedup")
+    if not speedup > ONDISK_MIN_PREFETCH_SPEEDUP:
+        raise ValueError(
+            f"prefetch speedup {speedup:.3f}x is not above the "
+            f"{ONDISK_MIN_PREFETCH_SPEEDUP}x floor"
+        )
 
 
 def run_quantized(scale: str, epochs: int, seed: int) -> dict:
