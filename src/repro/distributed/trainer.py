@@ -17,6 +17,7 @@ and 15b/c measure.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,7 +296,20 @@ class DistributedTrainer:
 
     def aggregation_epoch_time(self, feats: Tensor, epoch: int = 0) -> float:
         """Simulated seconds of the Aggregation stage only (Figures 15a-c
-        measure Aggregation rather than end-to-end epochs)."""
+        measure Aggregation rather than end-to-end epochs).
+
+        The cyclic garbage collector is paused while measuring, as
+        ``timeit`` does, so a collection of unrelated garbage is not billed
+        to whichever worker's compute span it happens to land in."""
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._aggregation_seconds(feats, epoch)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def _aggregation_seconds(self, feats: Tensor, epoch: int) -> float:
         self._ensure_hdg(epoch)
         h = feats
         simulated = 0.0
