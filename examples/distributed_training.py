@@ -70,7 +70,7 @@ def main() -> None:
             stats = trainer.train_epoch(
                 features, dataset.labels, optimizer, dataset.train_mask, epoch
             )
-            total += stats.simulated_seconds
+            total += stats.seconds
         label = "with" if pipeline else "without"
         print(f"\n{label} pipeline processing: "
               f"{total / 5:.4f}s simulated per epoch "

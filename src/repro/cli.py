@@ -353,7 +353,7 @@ def _cmd_distributed(args) -> int:
         stats = trainer.train_epoch(feats, ds.labels, optimizer,
                                     ds.train_mask, epoch)
         print(f"epoch {epoch:2d}  loss={stats.loss:.4f}  "
-              f"simulated {stats.simulated_seconds * 1000:.1f}ms  "
+              f"{stats.time_basis} {stats.seconds * 1000:.1f}ms  "
               f"({stats.total_bytes / 1e6:.1f} MB, "
               f"{stats.total_messages} msgs, {stats.comm_mode})")
     if args.workers > 1:

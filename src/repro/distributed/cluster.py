@@ -62,7 +62,7 @@ def flexgraph_scaling(
         stats = trainer.train_epoch(
             feats, dataset.labels, optimizer, dataset.train_mask, 1
         )
-        points.append(ScalingPoint(k, stats.simulated_seconds, stats.loss))
+        points.append(ScalingPoint(k, stats.seconds, stats.loss))
     return points
 
 

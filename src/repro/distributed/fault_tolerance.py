@@ -6,14 +6,15 @@ standard design for synchronous data-parallel GNN training:
 
 * :class:`CheckpointManager` — periodic model checkpoints through the
   storage tier, with bounded retention;
-* :class:`FaultTolerantTrainer` — wraps a
-  :class:`~repro.distributed.trainer.DistributedTrainer`; on a worker
-  failure it rolls the model back to the last checkpoint, re-attaches
-  the failed worker's HDG slice (its state is reconstructable from the
-  globally partitioned inputs) and replays the lost epochs.
+* :class:`FaultTolerantTrainer` — wraps a distributed trainer of either
+  backend; on a worker failure it rolls the model back to the last
+  checkpoint, calls the trainer's ``heal()`` (which brings the failed
+  worker back: its state is reconstructable from the globally
+  partitioned inputs) and replays the lost epochs.
 
 Failures are injected deterministically for testing via a
-``{epoch: worker_id}`` schedule.
+``{epoch: worker_id}`` schedule, through the trainer's
+``inject_failure``.
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from __future__ import annotations
 import bisect
 import os
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..storage.store import load_checkpoint, save_checkpoint
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
-from .trainer import DistributedEpochStats, DistributedTrainer
+
+if TYPE_CHECKING:
+    from .trainer import DistributedEpochStats, DistributedTrainer
 
 __all__ = ["CheckpointManager", "FaultTolerantTrainer", "WorkerFailure", "RecoveryEvent"]
 
@@ -146,8 +150,8 @@ class FaultTolerantTrainer:
 
         ``failure_schedule`` maps epoch -> worker id; the worker "dies"
         once at the start of that epoch.  Recovery rolls model AND
-        optimizer state back to the last checkpoint, re-attaches the
-        worker's HDG slice and replays from there, so training after a
+        optimizer state back to the last checkpoint, heals the worker
+        and replays from there, so training after a
         recovery is bit-identical to a failure-free run resumed at that
         checkpoint (modulo stochastic NeighborSelection, which is
         re-drawn like any restarted epoch would).
@@ -161,17 +165,8 @@ class FaultTolerantTrainer:
         epoch = 0
         while epoch < num_epochs:
             if epoch in failure_schedule:
-                worker_id = failure_schedule.pop(epoch)
-                if hasattr(self.trainer, "inject_failure"):
-                    # Multiprocess runtime: kill the real worker process;
-                    # the epoch attempt below raises WorkerFailure.
-                    self.trainer.inject_failure(worker_id)
-                else:
-                    self._recover(
-                        WorkerFailure(worker_id, epoch), optimizer, history
-                    )
-                    epoch = len(history)
-                    continue
+                # The epoch attempt below raises WorkerFailure.
+                self.trainer.inject_failure(failure_schedule.pop(epoch))
             try:
                 stats = self.trainer.train_epoch(
                     feats, labels, optimizer, mask, epoch
@@ -193,7 +188,7 @@ class FaultTolerantTrainer:
 
     def _recover(self, failure: WorkerFailure, optimizer: Optimizer,
                  history: list[DistributedEpochStats]) -> None:
-        """Restore model + optimizer state and the failed worker's slice."""
+        """Restore model + optimizer state and heal the failed worker."""
         loaded = self.checkpoints.load_latest()
         if loaded is None:
             restored_epoch = -1
@@ -222,16 +217,7 @@ class FaultTolerantTrainer:
             self.trainer.model.load_state_dict(model_state)
             optimizer.load_state_dict(opt_state)
             restored_epoch = int(metadata["epoch"])
-        # The failed worker's sub-HDG is reconstructed from the global
-        # HDGs (shared-nothing state is derived, not primary).
-        if self.trainer._model_hdg is not None:
-            self.trainer.workers[failure.worker_id].attach_hdg(
-                self.trainer._model_hdg
-            )
-        # Multiprocess runtime: respawn the worker pool (the dead
-        # process took its peers' barrier down with it).
-        if hasattr(self.trainer, "heal"):
-            self.trainer.heal()
+        self.trainer.heal()
         replayed = len(history) - (restored_epoch + 1)
         del history[restored_epoch + 1 :]
         self.recoveries.append(

@@ -14,37 +14,25 @@ the gradients of all workers' seeds together.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import NAUModel, SelectionScope
+from ..core.nau import NAUModel
 from ..core.sampling import build_seed_blocks
 from ..graph.graph import Graph
 from ..tensor.loss import cross_entropy
-from ..tensor.ops import scatter_rows
+from ..tensor.ops import concat, scatter_rows
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, SimulatedComm
+from .trainer import DistributedEpochStats, _PartitionedTrainer
 
-__all__ = ["DistributedMiniBatchStats", "DistributedMiniBatchTrainer"]
-
-
-@dataclass
-class DistributedMiniBatchStats:
-    """One distributed sampled epoch."""
-
-    epoch: int
-    loss: float
-    simulated_seconds: float
-    num_rounds: int
-    total_bytes: float
-    total_messages: int
+__all__ = ["DistributedMiniBatchTrainer"]
 
 
-class DistributedMiniBatchTrainer:
+class DistributedMiniBatchTrainer(_PartitionedTrainer):
     """Synchronous data-parallel sampled training over ``k`` workers.
 
     Parameters mirror :class:`~repro.core.sampling.MiniBatchTrainer` plus
@@ -62,41 +50,25 @@ class DistributedMiniBatchTrainer:
         comm_config: CommConfig | None = None,
         seed: int = 0,
     ):
-        self.model = model
         # ``data`` is the input graph, or a dataset carrying one — an
         # in-RAM Dataset or an out-of-core OnDiskDataset.  With a
         # dataset, train_epoch can run without feats/labels: each
         # worker's features are gathered per batch from the dataset.
         self._dataset = data if hasattr(data, "graph") else None
-        self.graph: Graph = data.graph if self._dataset is not None else data
-        self.labels_part = np.asarray(partition_labels, dtype=np.int64)
-        if self.labels_part.shape != (self.graph.num_vertices,):
-            raise ValueError("partition labels must cover every vertex")
-        self.k = int(self.labels_part.max()) + 1
+        graph: Graph = data.graph if self._dataset is not None else data
+        super().__init__(model, graph, partition_labels, strategy,
+                         comm_config, seed)
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
         self.fanouts = list(fanouts) if fanouts is not None else [10] * model.num_layers
         if len(self.fanouts) != model.num_layers:
             raise ValueError("need one fanout per layer")
-        self.strategy = ExecutionStrategy.parse(strategy)
-        self.comm_config = comm_config or CommConfig()
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._hdg_epoch = -1
 
-    # ------------------------------------------------------------------
-    def _ensure_hdg(self, epoch: int) -> HDG:
-        scope = self.model.selection_scope
-        stale = self._model_hdg is None or (
-            scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch
-        )
-        if stale:
-            self._model_hdg = self.model.neighbor_selection(self.graph, self._rng)
-            if self._model_hdg.depth != 1:
-                raise ValueError("distributed mini-batch requires flat HDGs")
-            self._hdg_epoch = epoch
-        return self._model_hdg
+    def _attach_hdg(self, hdg: HDG) -> None:
+        # Rounds sample blocks from the global HDG; no per-worker slices.
+        if hdg.depth != 1:
+            raise ValueError("distributed mini-batch requires flat HDGs")
 
     # ------------------------------------------------------------------
     def train_epoch(
@@ -106,7 +78,7 @@ class DistributedMiniBatchTrainer:
         optimizer: Optimizer | None = None,
         mask: np.ndarray | None = None,
         epoch: int = 0,
-    ) -> DistributedMiniBatchStats:
+    ) -> DistributedEpochStats:
         """One synchronized pass over every worker's masked vertices.
 
         With ``feats=None`` the trainer must have been constructed with
@@ -128,12 +100,13 @@ class DistributedMiniBatchTrainer:
             source = as_source(self._dataset, labels)
         elif labels is None:
             raise ValueError("train_epoch needs labels when feats is given")
+        self._begin_epoch(feats, epoch)
         self.model.train()
         hdg = self._ensure_hdg(epoch)
         n = self.graph.num_vertices
         pools = []
         for w in range(self.k):
-            owned = np.flatnonzero(self.labels_part == w)
+            owned = self.workers[w].root_orders
             if mask is not None:
                 owned = owned[mask[owned]]
             pools.append(self._rng.permutation(owned))
@@ -144,6 +117,8 @@ class DistributedMiniBatchTrainer:
         simulated = 0.0
         total_bytes = 0.0
         total_messages = 0
+        compute_total = np.zeros(self.k)
+        comm_total = np.zeros(self.k)
         losses = []
         for round_no in range(num_rounds):
             comm = SimulatedComm(self.k, self.comm_config)
@@ -194,8 +169,6 @@ class DistributedMiniBatchTrainer:
                     comm.send(int(src_w), w, int(remote_rows[src_w]) * feat_bytes, messages=1)
             if not round_logits:
                 continue
-            from ..tensor.ops import concat
-
             logits = concat(round_logits, axis=0)
             targets = np.concatenate(round_targets)
             loss = cross_entropy(logits, targets)
@@ -211,13 +184,19 @@ class DistributedMiniBatchTrainer:
             simulated += float((compute + comm_times).max())
             simulated += backward / self.k
             simulated += comm.allreduce_time(param_bytes)
+            compute_total += compute
+            comm_total += comm_times
             total_bytes += comm.total_bytes
             total_messages += comm.total_messages
-        return DistributedMiniBatchStats(
+        return DistributedEpochStats(
             epoch=epoch,
             loss=float(np.mean(losses)) if losses else 0.0,
-            simulated_seconds=simulated,
-            num_rounds=num_rounds,
+            seconds=simulated,
+            time_basis=self.time_basis,
+            compute_seconds=compute_total,
+            comm_seconds=comm_total,
             total_bytes=total_bytes,
             total_messages=total_messages,
+            # one assembled feature fetch per (worker, source worker)
+            comm_mode="batched",
         )

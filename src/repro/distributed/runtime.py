@@ -1,13 +1,15 @@
-"""The real multi-process distributed runtime (ROADMAP item 2).
+"""The real multi-process distributed runtime.
 
 :class:`MultiprocessTrainer` runs the k workers of the shared-nothing
-cluster as real OS processes.  Each worker executes exactly the
-per-partition computation :class:`~repro.distributed.trainer.DistributedTrainer`
-runs serially today — sliced HDG aggregation + update over its
-``Worker.sub_hdg``, with the process-global plan cache warm across
-epochs — so the two runtimes are numerically interchangeable; the
-difference is that here layer synchronization, gradient reduction and
-epoch times are *wall clock*, not modeled.
+cluster as real OS processes.  Each process runs the shared per-rank step
+(:class:`~repro.distributed.worker.Worker`) that
+:class:`~repro.distributed.trainer.DistributedTrainer` runs for every rank
+in one process, and the parent runs the same shared epoch (loss, reduced
+gradient, optimizer step), so the two backends are bitwise
+interchangeable; the difference is that here layer synchronization,
+gradient reduction and epoch times are *wall clock*, not modeled.  This
+module keeps only the process plumbing: the worker inbox loop, feature
+fetch, shared buffers, telemetry and the flight recorder.
 
 Data movement
 -------------
@@ -25,7 +27,7 @@ numpy views, see :mod:`repro.distributed.kvstore`):
   root rows, barriers, reads the full buffer as the next layer's input.
   Backward: each worker writes its full dh contribution to its slab,
   barriers, and the deterministic chunk reduction
-  (:meth:`ProcessComm.reduce_slabs`) sums slabs in rank order.
+  (:meth:`Comm.reduce_slabs`) sums slabs in rank order.
 * ``pslab``/``pbuf`` — flattened parameter-gradient slabs reduced the
   same way; the parent unflattens ``pbuf`` and steps the single
   optimizer, so the model update is exactly the data-parallel sum.
@@ -95,30 +97,15 @@ from ..obs.live import (
 from ..obs.log import clear_log_context, get_logger, set_log_context
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
-from ..core.nau import NAUModel, SelectionScope
-from ..tensor.loss import cross_entropy
-from ..tensor.optim import Optimizer
+from ..core.nau import NAUModel
 from ..tensor.tensor import Tensor
 from .comm import BYTES_COUNTER, MESSAGES_COUNTER, CommConfig, ProcessComm
 from .fault_tolerance import WorkerFailure
 from .kvstore import KVStore, SharedArray
+from .trainer import _PartitionedTrainer
 from .worker import Worker
 
-__all__ = ["MultiprocessEpochStats", "MultiprocessTrainer"]
-
-
-@dataclass
-class MultiprocessEpochStats:
-    """Wall-clock timing of one multiprocess epoch."""
-
-    epoch: int
-    loss: float
-    wall_seconds: float
-    compute_seconds: np.ndarray      # per worker, measured in-process
-    comm_seconds: np.ndarray         # per worker, barrier + reduction waits
-    total_bytes: float               # cross-partition traffic (accounted)
-    total_messages: int
-    backend: str = "process"
+__all__ = ["MultiprocessTrainer"]
 
 
 @dataclass
@@ -164,8 +151,8 @@ class _WorkerRuntime:
         self.model = spec.model
         self.comm = spec.comm
         self.kv = spec.kv
-        self.root_orders = np.flatnonzero(spec.labels_part == spec.rank)
-        self.sub_hdg: HDG | None = None
+        self.worker = Worker(spec.rank,
+                             np.flatnonzero(spec.labels_part == spec.rank))
         #: unique remote leaves per owning rank (filled on HDG arrival)
         self._leaf_counts = np.zeros(spec.k, dtype=np.int64)
         self.X: np.ndarray | None = None
@@ -251,7 +238,7 @@ class _WorkerRuntime:
         self.X = X
 
     def _attach_hdg(self, sub_hdg: HDG) -> None:
-        self.sub_hdg = sub_hdg
+        self.worker.sub_hdg = sub_hdg
         leaves = np.unique(sub_hdg.leaf_vertices)
         owners = self.spec.labels_part[leaves]
         self._leaf_counts = np.bincount(owners, minlength=self.k).astype(np.int64)
@@ -289,7 +276,7 @@ class _WorkerRuntime:
         if self.X is None:
             self._phase(PHASE_FEAT_FETCH, epoch=epoch)
             self._fetch_features()
-        assert self.sub_hdg is not None, "epoch dispatched before any HDG"
+        assert self.worker.sub_hdg is not None, "epoch dispatched before any HDG"
         if self.kv.version < payload["version"]:
             raise RuntimeError(
                 f"worker {self.rank} sees kv version {self.kv.version}, "
@@ -302,9 +289,9 @@ class _WorkerRuntime:
         for key, p in zip(self.spec.param_keys, params):
             p.data[...] = state[key]
         model.train()
-        model.zero_grad()
+        worker = self.worker
+        worker.reset_epoch(len(params))
 
-        compute_s = 0.0
         comm_s = 0.0
         bytes_total = self._startup_bytes
         messages_total = self._startup_messages
@@ -312,11 +299,11 @@ class _WorkerRuntime:
         self._startup_messages = 0
 
         layers = model.layers
-        num_layers = len(layers)
-        tapes: list[tuple[Tensor, Tensor]] = []
 
         # -------------------------- forward ---------------------------
-        h_in = Tensor(self.X)
+        # Layer l+1's buffer is stable until next epoch's forward
+        # overwrites it, so a zero-copy view is safe for the whole backward.
+        h_in = self.X
         for l, layer in enumerate(layers):
             self._phase(PHASE_FORWARD, epoch=epoch, layer=l)
             if stall_s > 0.0 and l == 0:
@@ -325,26 +312,19 @@ class _WorkerRuntime:
                 # or a livelocked fetch would freeze it.
                 time.sleep(stall_s)
             read_bytes, read_msgs = self._remote_read_traffic(
-                int(h_in.data.shape[1]), h_in.data.dtype.itemsize
+                int(h_in.shape[1]), h_in.dtype.itemsize
             )
             bytes_total += read_bytes
             messages_total += read_msgs
-            with obs.span("dist.compute", worker=self.rank, layer=l,
-                          epoch=epoch, pid=os.getpid()) as s_cmp:
-                nbr = layer.aggregation(h_in, self.sub_hdg, self.spec.strategy)
-                out = layer.update(h_in[self.root_orders], nbr)
-            compute_s += s_cmp.duration
-            self.spec.hbufs[l + 1].array[self.root_orders] = out.data
+            rows, _ = worker.forward_layer(l, layer, h_in, self.spec.strategy,
+                                           epoch=epoch, pid=os.getpid())
+            h_in = self.spec.hbufs[l + 1].array
+            h_in[worker.root_orders] = rows
             wait = self.comm.barrier()
             comm_s += wait
             obs.record_span("dist.comm", wait, simulated=False,
                             worker=self.rank, layer=l, epoch=epoch,
                             phase="layer_sync", bytes=read_bytes)
-            tapes.append((h_in, out))
-            if l + 1 < num_layers:
-                # Stable until next epoch's forward overwrites it, so a
-                # zero-copy leaf view is safe for the whole backward.
-                h_in = Tensor(self.spec.hbufs[l + 1].array, requires_grad=True)
 
         if self.rank == 0:
             self.spec.result_q.put(("fwd", epoch))
@@ -356,22 +336,14 @@ class _WorkerRuntime:
             return  # "stop" mid-epoch: parent is tearing the pool down
 
         # -------------------------- backward --------------------------
-        for l in range(num_layers - 1, -1, -1):
-            h_leaf, out = tapes[l]
-            gout = np.array(self.spec.gbufs[l + 1].array[self.root_orders])
+        for l in range(len(layers) - 1, -1, -1):
             self._phase(PHASE_BACKWARD, epoch=epoch, layer=l)
-            with obs.span("dist.backward", worker=self.rank, layer=l,
-                          epoch=epoch) as s_bwd:
-                out.backward(gout)
-            compute_s += s_bwd.duration
-            if l == 0:
+            dh = worker.backward_layer(l, self.spec.gbufs[l + 1].array, params,
+                                       epoch=epoch)
+            if dh is None:
                 continue  # layer-0 input is the non-differentiable features
             n, d = self.spec.gbufs[l].shape
-            slab = self.spec.hslabs[self.rank].array[: n * d].reshape(n, d)
-            if h_leaf.grad is None:
-                slab[...] = 0.0
-            else:
-                slab[...] = h_leaf.grad
+            self.spec.hslabs[self.rank].array[: n * d].reshape(n, d)[...] = dh
             wait = self.comm.barrier()
             self._phase(PHASE_GRAD_REDUCE, epoch=epoch, layer=l)
             slabs = [
@@ -391,15 +363,7 @@ class _WorkerRuntime:
         # --------------------- parameter gradients --------------------
         self._phase(PHASE_PARAM_REDUCE, epoch=epoch)
         pslab = self.spec.pslabs[self.rank].array
-        off = 0
-        for p in params:
-            size = p.data.size
-            g = p.grad
-            if g is None:
-                pslab[off:off + size] = 0.0
-            else:
-                pslab[off:off + size] = np.asarray(g, dtype=np.float64).ravel()
-            off += size
+        worker.write_param_grads(params, pslab)
         wait = self.comm.barrier()
         self.comm.reduce_slabs(
             [self.spec.pslabs[r].array for r in range(self.k)],
@@ -426,7 +390,7 @@ class _WorkerRuntime:
             self.flight.flush()
         spans = [s.to_dict() for s in reg.spans if s.closed]
         self.spec.result_q.put(("done", self.rank, {
-            "compute_seconds": compute_s,
+            "compute_seconds": worker.compute_seconds,
             "comm_seconds": comm_s,
             "bytes": bytes_total,
             "messages": messages_total,
@@ -470,17 +434,19 @@ def _worker_main(spec: _WorkerSpec) -> None:
             pass
 
 
-class MultiprocessTrainer:
+class MultiprocessTrainer(_PartitionedTrainer):
     """Train a NAU model across ``k`` real worker processes.
 
     Drop-in alongside :class:`DistributedTrainer` — same constructor
-    shape, same ``train_epoch`` signature, numerically matching loss and
-    gradients (see ``tests/test_multiprocess.py``) — but epoch times are
+    shape, same ``train_epoch`` (shared), and the same per-rank step, so
+    loss, gradients and parameters are bitwise equal — but epoch times are
     wall clock and worker death is a real observable failure.
 
     Use as a context manager or call :meth:`close`; the shared-memory
     segments are owned by the parent and must be unlinked.
     """
+
+    time_basis = "wall"
 
     def __init__(
         self,
@@ -495,21 +461,9 @@ class MultiprocessTrainer:
         stall_deadline: float = 5.0,
         flight_dir: str | None = None,
     ):
-        self.model = model
-        self.graph = graph
-        self.labels_part = np.asarray(partition_labels, dtype=np.int64)
-        if self.labels_part.shape != (graph.num_vertices,):
-            raise ValueError("partition labels must cover every vertex")
-        self.k = int(self.labels_part.max()) + 1
-        self.strategy = ExecutionStrategy.parse(strategy)
-        self.comm_config = comm_config or CommConfig()
+        super().__init__(model, graph, partition_labels, strategy,
+                         comm_config, seed)
         self.timeout = float(timeout)
-        self._rng = np.random.default_rng(seed)
-        self._model_hdg: HDG | None = None
-        self._hdg_epoch = -1
-        self.workers = [
-            Worker(w, np.flatnonzero(self.labels_part == w)) for w in range(self.k)
-        ]
         self.comm = ProcessComm(self.k, self.comm_config, ctx=ctx,
                                 timeout=self.timeout)
         self.ctx = self.comm.ctx
@@ -526,7 +480,6 @@ class MultiprocessTrainer:
         self._inboxes: list = []
         self._result_q = None
         self._hdg_dirty: set[int] = set()
-        self._die_next: set[int] = set()
         self._stall_next: dict[int, float] = {}
         self._started = False
         self._closed = False
@@ -636,14 +589,6 @@ class MultiprocessTrainer:
         if self._started:
             self._spawn()
 
-    def inject_failure(self, worker_id: int) -> None:
-        """Arrange for ``worker_id`` to die (``os._exit``) at the start
-        of the next dispatched epoch — a real process death, not a
-        simulated exception."""
-        if not (0 <= worker_id < self.k):
-            raise ValueError("worker id out of range")
-        self._die_next.add(worker_id)
-
     def inject_stall(self, worker_id: int, seconds: float = 1.0) -> None:
         """Arrange for ``worker_id`` to sleep ``seconds`` inside its next
         epoch's layer-0 forward — a real in-process hang (heartbeat
@@ -704,21 +649,9 @@ class MultiprocessTrainer:
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def _ensure_hdg(self, epoch: int) -> HDG:
-        scope = self.model.selection_scope
-        stale = self._model_hdg is None or (
-            scope is SelectionScope.PER_EPOCH and self._hdg_epoch != epoch
-        )
-        if stale:
-            with obs.span("dist.neighbor_selection", epoch=epoch):
-                self._model_hdg = self.model.neighbor_selection(
-                    self.graph, self._rng
-                )
-            self._hdg_epoch = epoch
-            for worker in self.workers:
-                worker.attach_hdg(self._model_hdg)
-            self._hdg_dirty = set(range(self.k))
-        return self._model_hdg
+    def _attach_hdg(self, hdg: HDG) -> None:
+        super()._attach_hdg(hdg)
+        self._hdg_dirty = set(range(self.k))
 
     def _dump_incident(self, kind: str, *, rank: int | None = None,
                        reason: str | None = None,
@@ -831,29 +764,19 @@ class MultiprocessTrainer:
                     results[msg[1]] = msg[2]
         return results
 
-    def train_epoch(
-        self,
-        feats: Tensor,
-        labels: np.ndarray,
-        optimizer: Optimizer,
-        mask: np.ndarray | None = None,
-        epoch: int = 0,
-    ) -> MultiprocessEpochStats:
-        """One data-parallel full-batch epoch across real processes."""
-        t0 = time.perf_counter()
-        self.model.train()
+    def _begin_epoch(self, feats, epoch: int) -> None:
         self._ensure_started(feats)
         if self._procs is None:
             self._spawn()
-        self._ensure_hdg(epoch)
 
+    def _forward(self, feats, epoch: int) -> np.ndarray:
+        """Dispatch the epoch; return the final buffer once rank 0 reports
+        the last forward barrier."""
         # Parameter sync: fresh replicated state, then bump the version
         # the dispatched tasks will assert.
         for key, p in zip(self._param_keys, self.model.parameters()):
             self.kv.set(key, p.data)
         version = self.kv.bump_version()
-
-        per_epoch = self.model.selection_scope is SelectionScope.PER_EPOCH
         trace_id = obs.get_registry().trace_id
         for rank in range(self.k):
             if rank in self._die_next:
@@ -869,41 +792,25 @@ class MultiprocessTrainer:
                 "trace_id": trace_id,
                 "stall_seconds": self._stall_next.pop(rank, 0.0),
             }))
-        if per_epoch:
-            self._hdg_dirty = set(range(self.k))
-
-        # Forward runs worker-side; rank 0 signals the final barrier.
         self._await("fwd", epoch, 1)
-        num_layers = len(self.model.layers)
-        logits = Tensor(np.array(self._hbufs[num_layers].array),
-                        requires_grad=True)
-        loss = cross_entropy(logits, labels, mask)
-        with obs.span("dist.backward", epoch=epoch, stage="loss"):
-            loss.backward()
-        self._gbufs[num_layers].array[...] = logits.grad
+        return np.array(self._hbufs[len(self.model.layers)].array)
+
+    def _backward(self, grad_logits: np.ndarray, epoch: int) -> np.ndarray:
+        """Hand the output gradient to the workers; once every rank is
+        done, merge their telemetry and return the reduced parameter
+        gradient."""
+        self._gbufs[len(self.model.layers)].array[...] = grad_logits
         for rank in range(self.k):
             self._inboxes[rank].put(("bwd", epoch))
         results = self._await("done", epoch, self.k)
 
-        # Apply the reduced data-parallel gradient with the one optimizer.
-        optimizer.zero_grad()
-        flat = self._pbuf.array
-        off = 0
-        for p in self.model.parameters():
-            size = p.data.size
-            p.grad = flat[off:off + size].reshape(p.data.shape).copy()
-            off += size
-        optimizer.step()
-
-        compute = np.zeros(self.k)
-        comm = np.zeros(self.k)
         total_bytes = 0.0
         total_messages = 0
         reg = obs.get_registry()
         for rank in sorted(results):
             stats = results[rank]
-            compute[rank] = stats["compute_seconds"]
-            comm[rank] = stats["comm_seconds"]
+            self.workers[rank].compute_seconds = stats["compute_seconds"]
+            self.workers[rank].comm_seconds = stats["comm_seconds"]
             total_bytes += stats["bytes"]
             total_messages += stats["messages"]
             # Rebase worker-relative times onto the parent clock: both
@@ -919,23 +826,11 @@ class MultiprocessTrainer:
         obs.counter(BYTES_COUNTER).add(total_bytes)
         obs.counter(MESSAGES_COUNTER).add(total_messages)
         self._poll_telemetry()  # final sample: phase/epoch gauges current
+        self._traffic = (total_bytes, total_messages)
+        return self._pbuf.array
 
-        wall = time.perf_counter() - t0
-        obs.epoch_log().log(
-            epoch,
-            loss=loss.item(),
-            wall_seconds=wall,
-            bytes=total_bytes,
-            messages=total_messages,
-            backend="process",
-            workers=self.k,
-        )
-        return MultiprocessEpochStats(
-            epoch=epoch,
-            loss=loss.item(),
-            wall_seconds=wall,
-            compute_seconds=compute,
-            comm_seconds=comm,
-            total_bytes=total_bytes,
-            total_messages=total_messages,
-        )
+    def _epoch_totals(self, wall: float, loss_seconds: float,
+                      step_seconds: float):
+        # Activations move as one read per (rank, source rank) per layer,
+        # after a barrier: batched, never overlapped with compute.
+        return wall, *self._traffic, "batched"

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 sys.path.insert(
@@ -163,6 +164,37 @@ class TestValidateOndisk:
     def test_committed_report_passes(self):
         with open(bench.ONDISK_OUTPUT) as fh:
             bench.validate_ondisk_report(json.load(fh))
+
+
+def _dist_report(loss=198.5):
+    rows = [{"name": f"gcn-dist{k}-{backend}", "workers": k,
+             "backend": backend, "median_epoch_seconds": 0.01,
+             "final_loss": loss}
+            for k in bench.DIST_WORKER_COUNTS
+            for backend in ("simulated", "process")]
+    return {"schema": bench.DIST_SCHEMA, "configs": rows}
+
+
+class TestValidateDist:
+    def test_good_report_passes(self):
+        bench.validate_dist_report(_dist_report())
+
+    def test_one_ulp_loss_drift_rejected(self):
+        report = _dist_report()
+        row = report["configs"][-1]
+        row["final_loss"] = float(np.nextafter(row["final_loss"], np.inf))
+        with pytest.raises(ValueError, match="process loss"):
+            bench.validate_dist_report(report)
+
+    def test_missing_row_rejected(self):
+        report = _dist_report()
+        del report["configs"][1]
+        with pytest.raises(ValueError, match="missing dist-scaling row"):
+            bench.validate_dist_report(report)
+
+    def test_committed_report_passes(self):
+        with open(bench.DIST_OUTPUT) as fh:
+            bench.validate_dist_report(json.load(fh))
 
 
 class TestPercentile:

@@ -1,5 +1,5 @@
 """Tests for the real multi-process distributed runtime: KV store,
-ProcessComm, loss/gradient parity with the simulated trainer, and
+ProcessComm, bitwise equivalence with the in-process backend, and
 worker-crash recovery."""
 
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.datasets import load_dataset
+from repro.datasets.synthetic import imdb_like
 from repro.distributed import (
     Comm,
     DistributedTrainer,
@@ -18,7 +19,7 @@ from repro.distributed import (
     WorkerFailure,
 )
 from repro.graph import hash_partition
-from repro.models import gcn
+from repro.models import gcn, magnn
 from repro.tensor import Adam, Tensor
 
 
@@ -159,44 +160,46 @@ class TestProcessComm:
             comm.close()
 
 
+def assert_backends_equal(ds, make_model, k, epochs):
+    """Train the same model/partition/seed on both backends and require
+    bitwise-equal losses, final gradients and final parameters."""
+    part = hash_partition(ds.graph.num_vertices, k)
+    ref = DistributedTrainer(make_model(), ds.graph, part, seed=0)
+    ref_losses = train_losses(ref, ds, epochs)
+    mt = MultiprocessTrainer(make_model(), ds.graph, part, seed=0)
+    try:
+        mp_losses = train_losses(mt, ds, epochs)
+    finally:
+        mt.close()
+    np.testing.assert_array_equal(mp_losses, ref_losses)
+    for p_ref, p_mp in zip(ref.model.parameters(), mt.model.parameters()):
+        np.testing.assert_array_equal(p_mp.grad, p_ref.grad)
+        np.testing.assert_array_equal(p_mp.data, p_ref.data)
+
+
 class TestMultiprocessParity:
-    """The tentpole acceptance: k real processes reproduce the simulated
-    trainer's numerics (same seeds, same partitions)."""
+    """Backend equivalence of the one implementation: both trainers run
+    the same per-rank worker step and the same rank-order reductions, so
+    losses, gradients and parameters are bitwise equal."""
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_loss_trajectory_matches_simulated(self, ds, k):
-        part = hash_partition(ds.graph.num_vertices, k)
-        ref = DistributedTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=7), ds.graph, part, seed=0
-        )
-        ref_losses = train_losses(ref, ds, 3)
-
-        mt = MultiprocessTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=7), ds.graph, part, seed=0
-        )
-        try:
-            mp_losses = train_losses(mt, ds, 3)
-        finally:
-            mt.close()
-        np.testing.assert_allclose(mp_losses, ref_losses, rtol=0, atol=1e-6)
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_loss_trajectory_matches_simulated(self, k):
+        # reddit small: at k=4 a global backward (instead of per-rank
+        # backwards reduced in rank order) drifts in the last ulp.
+        ds = load_dataset("reddit", scale="small")
+        assert_backends_equal(
+            ds, lambda: gcn(ds.feat_dim, 16, ds.num_classes, seed=0), k, 6)
 
     def test_gradients_match_simulated(self, ds):
-        part = hash_partition(ds.graph.num_vertices, 2)
-        ref = DistributedTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=3), ds.graph, part, seed=0
-        )
-        train_losses(ref, ds, 2)
+        assert_backends_equal(
+            ds, lambda: gcn(ds.feat_dim, 8, ds.num_classes, seed=3), 2, 2)
 
-        mt = MultiprocessTrainer(
-            gcn(ds.feat_dim, 8, ds.num_classes, seed=3), ds.graph, part, seed=0
-        )
-        try:
-            train_losses(mt, ds, 2)
-        finally:
-            mt.close()
-        for p_ref, p_mp in zip(ref.model.parameters(), mt.model.parameters()):
-            np.testing.assert_allclose(p_mp.grad, p_ref.grad, atol=1e-9)
-            np.testing.assert_allclose(p_mp.data, p_ref.data, atol=1e-9)
+    def test_magnn_matches_simulated(self):
+        """Depth-3 HDGs: three-level hierarchical aggregation per rank."""
+        ds = imdb_like(num_movies=200, num_directors=40, num_actors=130,
+                       seed=0)
+        assert_backends_equal(
+            ds, lambda: magnn(ds.feat_dim, 8, ds.num_classes, seed=0), 2, 3)
 
     def test_epoch_stats_and_span_merge(self, ds):
         obs.reset()
@@ -210,8 +213,8 @@ class TestMultiprocessParity:
             stats = mt.train_epoch(feats, ds.labels, opt, ds.train_mask, epoch=0)
         finally:
             mt.close()
-        assert stats.backend == "process"
-        assert stats.wall_seconds > 0
+        assert stats.time_basis == "wall"
+        assert stats.seconds > 0
         assert stats.compute_seconds.shape == (2,)
         assert (stats.compute_seconds > 0).all()
         assert stats.total_bytes > 0

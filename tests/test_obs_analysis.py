@@ -508,7 +508,7 @@ class TestEndToEnd:
         # Epoch series carries the per-epoch scalars.
         log = obs.epoch_log()
         assert len(log) == 2
-        for key in ("loss", "simulated_seconds", "bytes", "messages",
+        for key in ("loss", "seconds", "bytes", "messages",
                     "balance_factor", "vertices_per_sec"):
             series = log.series(key)
             assert len(series) == 2, key
