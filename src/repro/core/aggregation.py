@@ -12,8 +12,17 @@ per level:
 
 Built-ins cover the paper's models: sum/mean/max/min (FlexGraph's
 registered built-ins, Section 6), ``WeightedSumAggregator`` for PinSage's
-importance weights, and ``AttentionAggregator`` for MAGNN's softmax
-(scatter_softmax) step.
+importance weights, and ``AttentionAggregator`` for GAT's and MAGNN's
+softmax (scatter_softmax) step.
+
+Attention fuses like the plain reductions: one SpMM whose CSR data is
+the attention ``alpha``, with backward ``d values = A^T g`` and
+``d s_j = values_j . (A^T g)_j - (A^T r)_j`` (``A`` that matrix,
+``r_i = g_i . out_i``).  The per-edge SDDMM term
+``alpha_e (g_i . values_j - r_i)`` sums over the edges leaving row ``j``
+into that form only because every score depends on its source row
+alone; a score over ``(source, destination)`` pairs would need the
+per-edge SDDMM.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from ..tensor.scatter import (
     scatter_mean,
     scatter_min,
     scatter_softmax,
+    segment_attention,
     segment_reduce_csr,
 )
 from ..tensor.tensor import Tensor
@@ -215,10 +225,18 @@ class AttentionAggregator(Aggregator):
 
     Each source row gets a scalar score ``x . a`` from a learnable vector;
     scores are softmax-normalized within their group and used as weights.
+
+    ``sparse`` is the materializing SA path (the Figure 14 baseline): it
+    builds the ``(E, dim)`` message tensor and its weighted copy.
+    ``fused`` scores the ``(rows, dim)`` values once and calls
+    :func:`~repro.tensor.scatter.segment_attention`, whose backward is
+    ``d values = A^T g`` and ``d s_j = values_j . (A^T g)_j - (A^T r)_j``
+    (``A`` the alpha-weighted CSR, ``r_i = g_i . out_i``).  The identity
+    holds because a score depends on its source row only, never on the
+    destination, so no ``(E, dim)`` tensor is built in either direction.
     """
 
     name = "attention"
-    supports_fused = False  # attention needs explicit per-row scores
 
     def __init__(self, dim: int, rng: np.random.Generator | None = None):
         super().__init__()
@@ -226,12 +244,15 @@ class AttentionAggregator(Aggregator):
         self.dim = dim
         self.score_vector = Parameter(rng.standard_normal(dim) / np.sqrt(dim))
 
+    def _score(self, values: Tensor) -> Tensor:
+        """``(rows, 1)`` scores ``values @ a``, one per source row."""
+        return values @ self.score_vector.reshape(self.dim, 1)
+
     def _attend(self, values: Tensor, index, dim_size: int,
                 plan=None, plan_key=None) -> Tensor:
-        scores = values @ self.score_vector.reshape(self.dim, 1)
         # Both kernels share one plan: same index, same destination space.
-        alpha = scatter_softmax(scores, index, dim_size, plan=plan,
-                                plan_key=plan_key)
+        alpha = scatter_softmax(self._score(values), index, dim_size,
+                                plan=plan, plan_key=plan_key)
         return scatter_add(values * alpha, index, dim_size, plan=plan,
                            plan_key=plan_key)
 
@@ -242,12 +263,8 @@ class AttentionAggregator(Aggregator):
 
     def fused(self, values, offsets, sources=None, weights=None, *,
               plan=None, plan_key=None):
-        # Fall back to the sparse path on an index derived from offsets —
-        # attention inherently scores each member row.
-        counts = np.diff(offsets)
-        index = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        rows = values if sources is None else values[sources]
-        return self._attend(rows, index, counts.size, plan_key=plan_key)
+        return segment_attention(values, self._score(values), offsets,
+                                 sources, plan=plan, plan_key=plan_key)
 
     def dense(self, values):
         from ..tensor.ops import softmax

@@ -7,12 +7,17 @@ context and picks the cheapest backend for each:
 HDG level              backend per strategy
 =====================  =================================================
 neighbor instances     SA: scatter ops (per-edge messages materialized)
-(bottom, level max)    SA+FA / HA: **feature fusion** (segment reduce)
+(bottom, level max)    SA+FA / HA: **feature fusion** (segment reduce;
+                       attention: one alpha-weighted SpMM)
 in-between (level 2)   SA / SA+FA: scatter ops over an explicit index
-                       HA: segment reduce on the compact elided layout
+                       HA: segment reduce (or segment attention) on the
+                       compact elided layout
 schema tree (level 1)  SA / SA+FA: scatter ops
                        HA: **dense** reshape + reduce (Figure 10)
 =====================  =================================================
+
+Of the built-in aggregators only LSTM lacks a fused form; it takes the
+scatter path at every level.
 
 ``SA``, ``SA_FA`` and ``HA`` are exactly the three strategies compared in
 Figure 14.

@@ -5,7 +5,14 @@ neighbor's contribution is softmax-weighted by a learned score.  In NAU
 terms it is simply a flat HDG with the ``attention`` aggregation UDF —
 demonstrating that attention models need no abstraction changes
 (contrast with SAGA-NN, where attention requires an explicit ApplyEdge
-stage).
+stage that materializes one message per edge).
+
+Under the HA and SA+FA strategies the UDF runs as NGra's fused
+ApplyEdge/Gather: :func:`~repro.tensor.scatter.segment_attention`
+scores each neighbor row once, softmaxes the E edge scalars and sums
+with one alpha-weighted SpMM, so no ``(E, dim)`` tensor exists in the
+forward or the backward.  SA keeps the SAGA-NN-style materializing path
+as the Figure 14 baseline.
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ from .scatter import (
     scatter_mean,
     scatter_min,
     scatter_softmax,
+    segment_attention,
     segment_reduce_csr,
 )
 from .tensor import Tensor, is_grad_enabled, no_grad
@@ -71,7 +72,7 @@ __all__ = [
     "tensor", "zeros", "ones", "randn", "relu", "concat", "stack",
     "softmax", "log_softmax", "dropout", "scatter_rows",
     "scatter_add", "scatter_mean", "scatter_max", "scatter_min",
-    "scatter_softmax", "segment_reduce_csr",
+    "scatter_softmax", "segment_reduce_csr", "segment_attention",
     "ReductionPlan", "PlanCache", "accumulation_dtype",
     "get_plan_cache", "set_plan_cache",
     "index_plan_key", "segment_plan_key",

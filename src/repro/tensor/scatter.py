@@ -9,7 +9,9 @@ aggregate neighbor features:
   (Figure 8); this is the memory-explosion path the paper calls out.
 * **FA (feature fusion)** — :func:`segment_reduce_csr`, which reduces
   directly over a CSC/CSR segment structure without per-edge
-  materialization, modeling libgrape-lite's vertex-reduce.
+  materialization, modeling libgrape-lite's vertex-reduce, and
+  :func:`segment_attention`, its softmax-weighted counterpart (one
+  weighted SpMM; only the E attention scalars are per edge).
 * **Dense ops** — plain reshape + reduce, used at the schema-tree level.
 
 All reductions run on a :class:`~repro.tensor.plans.ReductionPlan`: the
@@ -32,6 +34,7 @@ experiments can observe the SA-vs-FA difference quantitatively (see
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
 
 from ..obs import counter as _obs_counter
 from ..obs.profile import record_op
@@ -51,6 +54,7 @@ __all__ = [
     "scatter_min",
     "scatter_softmax",
     "segment_reduce_csr",
+    "segment_attention",
     "materialized_bytes",
     "peak_materialized_bytes",
     "reset_materialized_bytes",
@@ -325,12 +329,11 @@ _SEGMENT_REDUCERS = frozenset({"sum", "mean", "max", "min"})
 
 def _resolve_segment_plan(value: Tensor, offsets, sources,
                           plan: ReductionPlan | None,
-                          plan_key) -> ReductionPlan:
+                          plan_key, op: str) -> ReductionPlan:
     if plan is not None:
         if plan.kind != "segments":
             raise ValueError(
-                f"segment_reduce_csr requires a segments-kind plan, "
-                f"got {plan.kind!r}"
+                f"{op} requires a segments-kind plan, got {plan.kind!r}"
             )
         if plan.num_rows != value.shape[0]:
             raise ValueError(
@@ -339,9 +342,7 @@ def _resolve_segment_plan(value: Tensor, offsets, sources,
             )
         return plan
     if offsets is None:
-        raise ValueError(
-            "segment_reduce_csr needs offsets when no plan is given"
-        )
+        raise ValueError(f"{op} needs offsets when no plan is given")
     if plan_key is None:
         return ReductionPlan.from_segments(offsets, sources, value.shape[0])
     offsets = np.asarray(offsets, dtype=np.int64)
@@ -393,7 +394,8 @@ def segment_reduce_csr(
     if reducer not in _SEGMENT_REDUCERS:
         raise ValueError(f"unknown reducer {reducer!r}; expected one of {sorted(_SEGMENT_REDUCERS)}")
     value = _as_tensor(value)
-    plan = _resolve_segment_plan(value, offsets, sources, plan, plan_key)
+    plan = _resolve_segment_plan(value, offsets, sources, plan, plan_key,
+                                 "segment_reduce_csr")
     n = plan.n
     total = plan.total
     dtype = value.data.dtype
@@ -469,3 +471,115 @@ def segment_reduce_csr(
         return (full.reshape(value.shape),)
 
     return Tensor._make(out_data, (value,), backward)
+
+
+def segment_attention(
+    values: Tensor,
+    scores: Tensor,
+    offsets: np.ndarray | None = None,
+    sources: np.ndarray | None = None,
+    *,
+    plan: ReductionPlan | None = None,
+    plan_key=None,
+) -> Tensor:
+    """Softmax-attention segment sum without a per-edge message tensor.
+
+    Segment ``i`` is laid out as in :func:`segment_reduce_csr`; edge
+    ``e`` of it carries source row ``j = sources[e]`` and the score
+    ``scores[j]``.  The output is ``out_i = sum_e alpha_e values_j`` with
+    ``alpha`` the softmax of the edge scores within segment ``i``.
+
+    The forward gathers only the E scalar scores, runs the segment
+    softmax on them and aggregates with one SpMM whose CSR data *is*
+    ``alpha`` (NGra's fused ApplyEdge/Gather; the SpMM/SDDMM split of
+    arXiv 2310.12184).  With ``A`` that alpha-weighted matrix and
+    ``r_i = g_i . out_i`` the backward is::
+
+        d values = A^T g
+        d s_j    = values_j . (A^T g)_j - (A^T r)_j
+
+    The per-edge SDDMM ``alpha_e (g_i . values_j - r_i)`` sums over the
+    edges leaving row ``j`` into that closed form only because every
+    score depends on its source row alone, so neither direction builds an
+    ``(E, dim)`` tensor.
+
+    Parameters
+    ----------
+    values:
+        ``(num_rows, dim)`` source features.
+    scores:
+        ``(num_rows, 1)`` per-row scores (e.g. ``values @ a``).
+    offsets / sources / plan / plan_key:
+        The segment structure, exactly as for :func:`segment_reduce_csr`.
+    """
+    values = _as_tensor(values)
+    scores = _as_tensor(scores)
+    plan = _resolve_segment_plan(values, offsets, sources, plan, plan_key,
+                                 "segment_attention")
+    if scores.shape != (plan.num_rows, 1):
+        raise ValueError(
+            f"scores must have shape ({plan.num_rows}, 1), got {scores.shape}"
+        )
+    n = plan.n
+    total = plan.total
+    dtype = values.data.dtype
+    out_shape = (n,) + values.shape[1:]
+    if total == 0:
+        def backward_empty(g):
+            return (np.zeros_like(values.data), np.zeros_like(scores.data))
+
+        return Tensor._make(np.zeros(out_shape, dtype=dtype), (values, scores),
+                            backward_empty)
+
+    acc = accumulation_dtype(dtype)
+    flat = values.data.reshape(plan.num_rows, -1).astype(acc, copy=False)
+    dim = flat.shape[1]
+    row_scores = scores.data.astype(acc, copy=False)
+    edge_scores = row_scores if plan.gather is None else row_scores[plan.gather]
+    # Segment softmax over the E scalars, in scatter_softmax's exact
+    # operation order so HA and SA agree to the last bit.
+    reps = plan.counts[plan.nonempty]
+    shifted = edge_scores - np.repeat(
+        np.maximum.reduceat(edge_scores, plan.starts, axis=0), reps, axis=0
+    )
+    e = np.exp(shifted)
+    alpha = (e / np.repeat(np.add.reduceat(e, plan.starts, axis=0), reps,
+                           axis=0)).ravel()
+    _record_materialization(alpha.nbytes)
+    # The plan's CSR structure with alpha as its data.
+    pattern = plan.matrix(acc)
+    weighted = _sp.csr_matrix((alpha, pattern.indices, pattern.indptr),
+                              shape=pattern.shape)
+    out_flat = weighted @ flat
+    out_data = out_flat.astype(dtype, copy=False).reshape(out_shape)
+    # softmax ~5 FLOPs per edge, SpMM 2 per edge and column; reads stream
+    # one source row per edge plus the scores and the CSR structure
+    record_op(
+        "segment_attention",
+        flops=5.0 * total + 2.0 * total * dim,
+        bytes_read=(total * dim * values.data.itemsize + scores.data.nbytes
+                    + plan.offsets.nbytes + total * 8),
+        bytes_written=out_data.nbytes + alpha.nbytes,
+    )
+
+    def backward(g):
+        g_flat = g.reshape(n, -1).astype(acc, copy=False)
+        weighted_t = weighted.T
+        grad_rows = weighted_t @ g_flat
+        r = np.einsum("ij,ij->i", g_flat, out_flat)
+        grad_scores = np.einsum("ij,ij->i", flat, grad_rows) - weighted_t @ r
+        # SpMM + SpMV stream one gradient row and one r per edge plus the
+        # alpha-weighted CSR; the row-wise dots read g, out and values
+        record_op(
+            "segment_attention.backward",
+            flops=2.0 * total * (dim + 1) + 2.0 * (n + plan.num_rows) * dim,
+            bytes_read=(total * (dim + 1) * values.data.itemsize
+                        + alpha.nbytes + total * 8
+                        + g.nbytes + out_data.nbytes + values.data.nbytes),
+            bytes_written=values.data.nbytes + scores.data.nbytes,
+        )
+        return (grad_rows.astype(dtype, copy=False).reshape(values.shape),
+                grad_scores.astype(scores.data.dtype, copy=False)
+                .reshape(scores.shape))
+
+    return Tensor._make(out_data, (values, scores), backward)

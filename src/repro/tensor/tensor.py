@@ -22,6 +22,7 @@ training needs.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as _sp
 
 from ..obs.profile import record_op
 
@@ -359,6 +360,10 @@ class Tensor:
         src = self
 
         def backward(g):
+            if (isinstance(idx, np.ndarray) and idx.ndim == 1
+                    and idx.dtype.kind in "iu"
+                    and src.data.dtype in (np.float32, np.float64)):
+                return (_gather_grad(g, idx, src.data),)
             full = np.zeros_like(src.data)
             np.add.at(full, idx, g)
             return (full,)
@@ -459,6 +464,24 @@ class Tensor:
             return (g * out_data * (1.0 - out_data),)
 
         return Tensor._make(out_data, (self,), backward)
+
+
+def _gather_grad(g: np.ndarray, idx: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """Backward of the row gather ``src[idx]``: ``full[idx[k]] += g[k]``.
+
+    One product with a CSC matrix holding a single 1 per column.  SciPy
+    sweeps its columns, and so ``k``, in order, in the value dtype, which
+    is ``np.add.at``'s summation order: the result is bitwise the same.
+    """
+    n = src.shape[0]
+    rows = np.where(idx < 0, idx + n, idx)
+    onehot = _sp.csc_matrix(
+        (np.ones(idx.size, dtype=src.dtype), rows,
+         np.arange(idx.size + 1)),
+        shape=(n, idx.size),
+    )
+    row_size = int(np.prod(src.shape[1:]))
+    return (onehot @ g.reshape(idx.size, row_size)).reshape(src.shape)
 
 
 def _as_tensor(value) -> Tensor:

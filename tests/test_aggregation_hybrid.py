@@ -223,3 +223,44 @@ class TestDenseBackend:
         x[0, :, 0] = [1.0, 2.0, 3.0]
         out = attn.dense(Tensor(x)).numpy()
         assert 1.0 <= out[0, 0] <= 3.0
+
+
+class TestFusedAttention:
+    """Attention takes the fused kernel wherever the strategy fuses."""
+
+    @pytest.mark.parametrize("strategy,backend", [
+        (ExecutionStrategy.SA, "sparse"),
+        (ExecutionStrategy.SA_FA, "fused"),
+        (ExecutionStrategy.HA, "fused"),
+    ])
+    def test_backend_event(self, flat_hdg, strategy, backend):
+        from repro import obs
+        from repro.core.hybrid import BACKEND_EVENT
+
+        hdg, g = flat_hdg
+        obs.reset()
+        feats = Tensor(np.random.default_rng(0).standard_normal((g.num_vertices, 3)))
+        hierarchical_aggregate(hdg, feats, [AttentionAggregator(3)], strategy)
+        backends = {
+            e.attrs["backend"] for e in obs.get_registry().events
+            if e.name == BACKEND_EVENT and e.attrs["aggregator"] == "attention"
+        }
+        assert backends == {backend}
+
+    def test_gat_epoch_peak_below_one_message_tensor(self):
+        from repro.core import FlexGraphEngine
+        from repro.datasets import load_dataset
+        from repro.models import gat
+        from repro.tensor import Adam, peak_materialized_bytes, reset_materialized_bytes
+
+        ds = load_dataset("reddit", scale="tiny", seed=0)
+        hidden = 8
+        model = gat(ds.feat_dim, hidden, ds.num_classes, seed=0)
+        engine = FlexGraphEngine(model, ds.graph, strategy="ha", seed=0)
+        feats = Tensor(ds.features)
+        optimizer = Adam(model.parameters(), lr=0.01)
+        engine.train_epoch(feats, ds.labels, optimizer, ds.train_mask, 0)
+        reset_materialized_bytes()
+        engine.train_epoch(feats, ds.labels, optimizer, ds.train_mask, 1)
+        num_edges = hdg_from_graph(ds.graph).leaf_vertices.size
+        assert 0 < peak_materialized_bytes() < num_edges * hidden * 8

@@ -68,17 +68,24 @@ class TestReport:
             assert row["peak_flops_per_sec"] > 0
 
 
+#: row name -> peak materialized bytes of a healthy report: only SA
+#: materializes per-edge messages
+_PEAKS = {"gcn-single-ha": 0, "gcn-single-sa": 22_182_400,
+          "gat-single-ha": 3_200_000, "gcn-dist4-batched": 0}
+
+
 def _report(schema=bench.SCHEMA, **overrides):
-    row = {"name": "x", "model": "gcn", "dataset": "reddit",
+    row = {"model": "gcn", "dataset": "reddit",
            "kind": "single", "epochs": 3, "scale": "small",
            "median_epoch_seconds": 0.1, "p90_epoch_seconds": 0.2,
-           "peak_materialized_bytes": 10, "time_basis": "wall"}
+           "time_basis": "wall"}
     if schema == bench.SCHEMA:
         row.update(total_flops=1e6, total_bytes=1e7,
                    peak_flops_per_sec=1e8)
     row.update(overrides)
     return {"schema": schema,
-            "configs": [dict(row, name=f"c{i}") for i in range(4)]}
+            "configs": [dict(row, name=name, peak_materialized_bytes=peak)
+                        for name, peak in _PEAKS.items()]}
 
 
 class TestValidate:
@@ -125,6 +132,23 @@ class TestValidate:
         report = self._good()
         report["configs"][2]["p90_epoch_seconds"] = 0.01
         with pytest.raises(ValueError, match="p90 < median"):
+            bench.validate_report(report)
+
+    def test_unfused_attention_peak_rejected(self):
+        # the committed full-matrix rows before attention fused
+        report = self._good()
+        peaks = {"gcn-single-sa": 22_182_400, "gat-single-ha": 22_736_960}
+        for row in report["configs"]:
+            row["peak_materialized_bytes"] = peaks.get(row["name"], 0)
+        with pytest.raises(ValueError, match="attention is not fused"):
+            bench.validate_report(report)
+
+    @pytest.mark.parametrize("name", ["gat-single-ha", "gcn-single-sa"])
+    def test_missing_attention_gate_row_rejected(self, name):
+        report = self._good()
+        report["configs"] = [r for r in report["configs"] if r["name"] != name]
+        report["configs"].append(dict(report["configs"][0], name="extra"))
+        with pytest.raises(ValueError, match=f"missing {name!r}"):
             bench.validate_report(report)
 
 
@@ -296,6 +320,7 @@ class TestCompare:
         # align names/epochs/scale with the smoke matrix so rows match
         baseline["configs"] = [
             dict(baseline["configs"][0], name=cfg["name"],
+                 peak_materialized_bytes=_PEAKS.get(cfg["name"], 0),
                  scale="tiny", epochs=3)
             for cfg in bench.MATRIX
         ]

@@ -281,6 +281,34 @@ class TestStructuralOps:
             dropout(Tensor(np.ones(2)), 1.5, np.random.default_rng(0))
 
 
+class TestGatherBackward:
+    """``x[idx]`` backward against the ``np.add.at`` reference."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(12,), (12, 5)])
+    @pytest.mark.parametrize("size", [0, 1, 400])
+    def test_bitwise_equal_to_add_at(self, dtype, shape, size):
+        rng = np.random.default_rng(size)
+        # duplicate-heavy: 400 draws from 4 rows, negative indices included
+        idx = rng.integers(-4, 4, size)
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        y = x[idx]
+        g = (rng.standard_normal(y.shape) * 1e3).astype(dtype)
+        y.backward(g)
+        ref = np.zeros(shape, dtype=dtype)
+        np.add.at(ref, idx, g)
+        assert x.grad.dtype == dtype
+        np.testing.assert_array_equal(x.grad.view(np.uint8), ref.view(np.uint8))
+
+    def test_slices_and_masks_keep_their_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        (x[1:] * 2).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[0, 0], [2, 2], [2, 2]])
+        x.zero_grad()
+        x[np.array([True, False, True])].sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0], [1, 1]])
+
+
 class TestTapeMechanics:
     def test_no_grad_context(self):
         assert is_grad_enabled()

@@ -14,6 +14,7 @@ from repro.tensor import (
     scatter_mean,
     scatter_min,
     scatter_softmax,
+    segment_attention,
     segment_reduce_csr,
 )
 
@@ -231,3 +232,125 @@ class TestSegmentReduce:
         _dst, offsets, sources, feats = make_segments(rng)
         segment_reduce_csr(Tensor(feats), offsets, sources, "sum")
         assert materialized_bytes() == 0
+
+
+class TestSegmentAttention:
+    """The fused attention kernel against the materializing SA path."""
+
+    def _attention(self, dim, seed=0):
+        from repro.core.aggregation import AttentionAggregator
+
+        return AttentionAggregator(dim, rng=np.random.default_rng(seed))
+
+    def test_forward_bitwise_equal_to_sparse(self):
+        rng = np.random.default_rng(0)
+        dst, offsets, sources, feats = make_segments(rng)
+        attn = self._attention(feats.shape[1])
+        fused = attn.fused(Tensor(feats), offsets, sources).numpy()
+        sparse = attn.sparse(Tensor(feats)[sources], dst, offsets.size - 1).numpy()
+        np.testing.assert_array_equal(fused, sparse)
+
+    def test_gradients_match_sparse(self):
+        rng = np.random.default_rng(1)
+        dst, offsets, sources, feats = make_segments(rng)
+        attn = self._attention(feats.shape[1], seed=1)
+        weight = Tensor(rng.standard_normal((offsets.size - 1, feats.shape[1])))
+        grads = []
+        for fused in (True, False):
+            v = Tensor(feats.copy(), requires_grad=True)
+            attn.zero_grad()
+            if fused:
+                out = attn.fused(v, offsets, sources)
+            else:
+                out = attn.sparse(v[sources], dst, offsets.size - 1)
+            (out * weight).sum().backward()
+            grads.append((v.grad.copy(), attn.score_vector.grad.copy()))
+        np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_gradients_match_finite_differences(self, identity):
+        rng = np.random.default_rng(2)
+        _dst, offsets, sources, feats = make_segments(rng, n_dst=6, total=18, dim=3)
+        if identity:
+            feats = rng.standard_normal((18, 3))
+            sources = None
+        scores = rng.standard_normal((feats.shape[0], 1))
+        weight = rng.standard_normal((6, 3))
+
+        def f(v, s):
+            out = segment_attention(Tensor(v), Tensor(s), offsets, sources)
+            return float((out.numpy() * weight).sum())
+
+        v = Tensor(feats.copy(), requires_grad=True)
+        s = Tensor(scores.copy(), requires_grad=True)
+        (segment_attention(v, s, offsets, sources) * Tensor(weight)).sum().backward()
+        eps = 1e-6
+        for arr, grad, other in ((feats, v.grad, "s"), (scores, s.grad, "v")):
+            num = np.zeros_like(arr)
+            for i in range(arr.size):
+                probe = arr.copy()
+                probe.flat[i] += eps
+                hi = f(probe, scores) if other == "s" else f(feats, probe)
+                probe.flat[i] -= 2 * eps
+                lo = f(probe, scores) if other == "s" else f(feats, probe)
+                num.flat[i] = (hi - lo) / (2 * eps)
+            np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-8)
+
+    def test_zero_in_degree_segments_are_zero(self):
+        offsets = np.array([0, 2, 2, 3, 3])
+        sources = np.array([1, 0, 1])
+        v = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+        s = Tensor(np.array([[0.0], [np.log(3.0)]]), requires_grad=True)
+        out = segment_attention(v, s, offsets, sources)
+        # segment 0: softmax(log 3, 0) = (3/4, 1/4) over rows (1, 0)
+        np.testing.assert_allclose(out.numpy(), [[2.5, 3.5], [0, 0], [3, 4], [0, 0]])
+        out.sum().backward()
+        assert np.isfinite(v.grad).all() and np.isfinite(s.grad).all()
+
+    def test_identity_layout(self):
+        rng = np.random.default_rng(3)
+        feats = rng.standard_normal((7, 4))
+        offsets = np.array([0, 3, 3, 7])
+        attn = self._attention(4, seed=3)
+        index = np.repeat(np.arange(3), np.diff(offsets))
+        np.testing.assert_array_equal(
+            attn.fused(Tensor(feats), offsets, None).numpy(),
+            attn.sparse(Tensor(feats), index, 3).numpy(),
+        )
+
+    def test_no_edges(self):
+        v = Tensor(np.ones((4, 2)), requires_grad=True)
+        s = Tensor(np.ones((4, 1)), requires_grad=True)
+        out = segment_attention(v, s, np.array([0, 0, 0]), np.empty(0, dtype=int))
+        np.testing.assert_array_equal(out.numpy(), np.zeros((2, 2)))
+        out.sum().backward()
+        np.testing.assert_array_equal(v.grad, np.zeros((4, 2)))
+        np.testing.assert_array_equal(s.grad, np.zeros((4, 1)))
+
+    def test_float32_stays_float32(self):
+        rng = np.random.default_rng(4)
+        _dst, offsets, sources, feats = make_segments(rng)
+        v = Tensor(feats.astype(np.float32), requires_grad=True)
+        s = Tensor(rng.standard_normal((feats.shape[0], 1)).astype(np.float32),
+                   requires_grad=True)
+        out = segment_attention(v, s, offsets, sources)
+        assert out.dtype == np.float32
+        out.sum().backward()
+        assert v.grad.dtype == np.float32 and s.grad.dtype == np.float32
+        ref = segment_attention(Tensor(feats), Tensor(s.numpy().astype(np.float64)),
+                                offsets, sources).numpy()
+        np.testing.assert_allclose(out.numpy(), ref, rtol=1e-5, atol=1e-5)
+
+    def test_scores_shape_checked(self):
+        with pytest.raises(ValueError, match="scores"):
+            segment_attention(Tensor(np.ones((3, 2))), Tensor(np.ones((3,))),
+                              np.array([0, 3]), None)
+
+    def test_records_only_the_alpha_vector(self):
+        rng = np.random.default_rng(5)
+        _dst, offsets, sources, feats = make_segments(rng)
+        reset_materialized_bytes()
+        segment_attention(Tensor(feats), Tensor(np.zeros((feats.shape[0], 1))),
+                          offsets, sources)
+        assert materialized_bytes() == sources.size * 8

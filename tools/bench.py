@@ -840,6 +840,20 @@ def validate_report(report: dict) -> None:
             raise ValueError(f"config {row['name']!r} has non-positive median")
         if row["p90_epoch_seconds"] < row["median_epoch_seconds"]:
             raise ValueError(f"config {row['name']!r} has p90 < median")
+    # Fused edge attention: GAT under HA keeps only the E attention
+    # scalars per layer, so its peak must sit below GCN under SA, which
+    # materializes a whole (E, dim) message tensor.
+    rows = {row["name"]: row for row in configs}
+    for name in ("gat-single-ha", "gcn-single-sa"):
+        if name not in rows:
+            raise ValueError(f"bench report missing {name!r} row")
+    gat_peak = rows["gat-single-ha"]["peak_materialized_bytes"]
+    sa_peak = rows["gcn-single-sa"]["peak_materialized_bytes"]
+    if not gat_peak < sa_peak:
+        raise ValueError(
+            f"gat-single-ha materializes {gat_peak} bytes at peak, not "
+            f"below gcn-single-sa's {sa_peak}: attention is not fused"
+        )
 
 
 def compare_reports(fresh: dict, baseline: dict,
