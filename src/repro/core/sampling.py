@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.graph import Graph
-from ..tensor.loss import accuracy, cross_entropy
+from ..tensor.loss import accuracy
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .hdg import HDG
@@ -295,7 +295,7 @@ class MiniBatchTrainer:
         the losses do not depend on prefetch depth or worker count.
         """
         from .. import obs
-        from ..loader.pipeline import StreamingLoader, run_local_blocks
+        from ..loader.pipeline import StreamingLoader, train_step
 
         if optimizer is None:
             raise ValueError("train_epoch needs an optimizer")
@@ -321,13 +321,8 @@ class MiniBatchTrainer:
             if batch is None:
                 break
             t_train = time.perf_counter()
-            h = run_local_blocks(self.model, batch.compact, batch.feats,
-                                 self.strategy)
-            logits = h[batch.seed_rows]
-            loss = cross_entropy(logits, batch.labels)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            loss, logits, _ = train_step(self.model, [batch], optimizer,
+                                         self.strategy)
             train_s += time.perf_counter() - t_train
             losses.append(loss.item())
             correct += int(

@@ -3,27 +3,30 @@ rounds over the simulated cluster.
 
 Combines the two extensions the paper leaves on the table: fan-out
 sampling (``repro.core.sampling``) and the shared-nothing cluster model
-(§5).  Each round, every worker draws a seed batch from *its own*
-partition, builds sampled blocks against the global HDG, computes
-locally (measured), fetches remote block features (modeled, batched per
-worker pair) and joins a gradient allreduce (modeled).  The math is
-exactly synchronous data-parallel SGD: one optimizer step per round on
-the gradients of all workers' seeds together.
+(§5).  Rank ``w`` streams its partition's vertices through the loader
+with plans drawn from ``SeedSequence([seed, epoch, w])``.  Each round
+runs the next batch of every rank that still has seeds through the one
+sampled train step (:func:`~repro.loader.train_step`): one loss, one
+backward, one optimizer step — synchronous data-parallel SGD, and with
+one partition :class:`~repro.core.sampling.MiniBatchTrainer` bit for
+bit.  Per-rank compute (sample + gather + forward) is measured; remote
+input rows cost one batched fetch per source rank at the source's wire
+bytes per row, then a gradient allreduce.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import zip_longest
 
 import numpy as np
 
 from ..core.hdg import HDG
 from ..core.hybrid import ExecutionStrategy
 from ..core.nau import NAUModel
-from ..core.sampling import build_seed_blocks
 from ..graph.graph import Graph
-from ..tensor.loss import cross_entropy
-from ..tensor.ops import concat, scatter_rows
+from ..loader.pipeline import StreamingLoader, train_step
+from ..loader.source import as_source
 from ..tensor.optim import Optimizer
 from ..tensor.tensor import Tensor
 from .comm import CommConfig, SimulatedComm
@@ -58,6 +61,7 @@ class DistributedMiniBatchTrainer(_PartitionedTrainer):
         graph: Graph = data.graph if self._dataset is not None else data
         super().__init__(model, graph, partition_labels, strategy,
                          comm_config, seed)
+        self.seed = int(seed)
         self.batch_size = int(batch_size)
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -84,35 +88,33 @@ class DistributedMiniBatchTrainer(_PartitionedTrainer):
         With ``feats=None`` the trainer must have been constructed with
         a dataset; each worker then gathers its batch's feature rows
         from the dataset (for ondisk data: only the touched memmap
-        pages) and runs the forward in batch-local coordinates.
+        pages).
         """
         if optimizer is None:
             raise ValueError("train_epoch needs an optimizer")
-        source = None
-        if feats is None:
-            from ..loader.source import as_source
-
-            if self._dataset is None:
-                raise ValueError(
-                    "train_epoch needs feats unless the trainer was "
-                    "constructed with a dataset"
-                )
-            source = as_source(self._dataset, labels)
-        elif labels is None:
+        if feats is None and self._dataset is None:
+            raise ValueError(
+                "train_epoch needs feats unless the trainer was "
+                "constructed with a dataset"
+            )
+        if feats is not None and labels is None:
             raise ValueError("train_epoch needs labels when feats is given")
         self._begin_epoch(feats, epoch)
         self.model.train()
         hdg = self._ensure_hdg(epoch)
-        n = self.graph.num_vertices
-        pools = []
-        for w in range(self.k):
-            owned = self.workers[w].root_orders
-            if mask is not None:
-                owned = owned[mask[owned]]
-            pools.append(self._rng.permutation(owned))
-        num_rounds = max(
-            int(np.ceil(pool.size / self.batch_size)) for pool in pools
+        loader = StreamingLoader(
+            as_source(self._dataset if feats is None else feats, labels),
+            self.fanouts, batch_size=self.batch_size, prefetch_depth=0,
+            transfer=False,
         )
+        streams = []
+        for worker in self.workers:
+            pool = worker.root_orders
+            if mask is not None:
+                pool = pool[mask[pool]]
+            streams.append(loader.epoch_batches(
+                hdg, pool, epoch=epoch, seed=self.seed, rank=worker.worker_id))
+        row_bytes = loader.source.wire_bytes_per_row
         param_bytes = sum(p.data.nbytes for p in self.model.parameters())
         simulated = 0.0
         total_bytes = 0.0
@@ -120,64 +122,27 @@ class DistributedMiniBatchTrainer(_PartitionedTrainer):
         compute_total = np.zeros(self.k)
         comm_total = np.zeros(self.k)
         losses = []
-        for round_no in range(num_rounds):
+        for round_batches in zip_longest(*streams):
+            ranks = [w for w, batch in enumerate(round_batches) if batch is not None]
+            batches = [round_batches[w] for w in ranks]
+            t0 = time.perf_counter()
+            loss, _, forward = train_step(self.model, batches, optimizer,
+                                          self.strategy)
+            backward = time.perf_counter() - t0 - sum(forward)
+            losses.append(loss.item())
             comm = SimulatedComm(self.k, self.comm_config)
             compute = np.zeros(self.k)
-            round_logits = []
-            round_targets = []
-            for w in range(self.k):
-                pool = pools[w]
-                seeds = pool[round_no * self.batch_size : (round_no + 1) * self.batch_size]
-                if seeds.size == 0:
-                    continue
-                t0 = time.perf_counter()
-                blocks = build_seed_blocks(hdg, seeds, self.fanouts, self._rng)
-                if source is None:
-                    h = feats
-                    for layer, (block, out_vertices) in zip(self.model.layers, blocks):
-                        nbr = layer.aggregation(h, block, self.strategy)
-                        h_rows = layer.update(h[out_vertices], nbr)
-                        h = scatter_rows(h_rows, out_vertices, n)
-                    round_logits.append(h[seeds])
-                    input_vertices = np.union1d(blocks[0][1], blocks[0][0].leaf_vertices)
-                    feat_bytes = int(feats.shape[1]) * feats.data.dtype.itemsize
-                else:
-                    from ..loader.pipeline import compact_blocks, run_local_blocks
-
-                    compact = compact_blocks(blocks, seeds)
-                    input_vertices = compact.input_vertices
-                    rows = source.gather_features(input_vertices)
-                    h = run_local_blocks(self.model, compact, Tensor(rows),
-                                         self.strategy)
-                    round_logits.append(h[compact.seed_rows])
-                    # Remote fetches move the storage tier's wire format
-                    # (quantized codes + scales for a quantized source),
-                    # not the dequantized compute rows.
-                    wire_per_row = getattr(source, "wire_bytes_per_row", None)
-                    feat_bytes = (int(wire_per_row) if wire_per_row is not None
-                                  else int(source.feat_dim) * rows.dtype.itemsize)
-                compute[w] = time.perf_counter() - t0
-                round_targets.append(
-                    labels[seeds] if labels is not None
-                    else source.gather_labels(seeds)
-                )
+            for w, batch, forward_s in zip(ranks, batches, forward):
+                compute[w] = batch.sample_seconds + batch.gather_seconds + forward_s
                 # Remote feature fetches: input-block vertices owned by
                 # other workers, one batched message per source worker.
-                remote_rows = np.bincount(self.labels_part[input_vertices], minlength=self.k)
+                remote_rows = np.bincount(
+                    self.labels_part[batch.compact.input_vertices],
+                    minlength=self.k)
                 remote_rows[w] = 0
                 for src_w in np.flatnonzero(remote_rows):
-                    comm.send(int(src_w), w, int(remote_rows[src_w]) * feat_bytes, messages=1)
-            if not round_logits:
-                continue
-            logits = concat(round_logits, axis=0)
-            targets = np.concatenate(round_targets)
-            loss = cross_entropy(logits, targets)
-            t0 = time.perf_counter()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-            backward = time.perf_counter() - t0
-            losses.append(loss.item())
+                    comm.send(int(src_w), w, int(remote_rows[src_w]) * row_bytes,
+                              messages=1)
             # Round wall time: slowest worker (compute + fetches), then a
             # gradient allreduce; backward parallelizes over workers.
             comm_times = comm.step_times()

@@ -15,6 +15,7 @@ from .pipeline import (
     compact_blocks,
     plan_epoch,
     run_local_blocks,
+    train_step,
 )
 from .source import DataSource, InMemorySource, QuantizedSource, as_source
 
@@ -22,5 +23,5 @@ __all__ = [
     "DataSource", "InMemorySource", "QuantizedSource", "as_source",
     "BatchPlan", "CompactBlocks", "SampledBatch",
     "StreamingLoader",
-    "compact_blocks", "plan_epoch", "run_local_blocks",
+    "compact_blocks", "plan_epoch", "run_local_blocks", "train_step",
 ]

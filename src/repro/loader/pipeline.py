@@ -36,7 +36,8 @@ import numpy as np
 from .. import obs
 from ..core.hdg import HDG
 from ..core.sampling import build_seed_blocks
-from ..tensor.ops import scatter_rows
+from ..tensor.loss import cross_entropy
+from ..tensor.ops import concat, scatter_rows
 from ..tensor.tensor import Tensor
 from .source import DataSource, as_source
 
@@ -48,6 +49,7 @@ __all__ = [
     "compact_blocks",
     "plan_epoch",
     "run_local_blocks",
+    "train_step",
 ]
 
 
@@ -62,15 +64,16 @@ class BatchPlan:
 
 
 def plan_epoch(pool: np.ndarray, batch_size: int, *, seed: int,
-               epoch: int) -> list[BatchPlan]:
-    """Pre-draw the epoch's batch plans from ``(seed, epoch)`` alone.
+               epoch: int, rank: int = 0) -> list[BatchPlan]:
+    """Pre-draw the epoch's batch plans from ``(seed, epoch, rank)`` alone.
 
     The pool permutation and every batch's sampling seed come from one
-    ``SeedSequence([seed, epoch])`` stream, so the plan is identical no
-    matter how many loader workers later execute it.
+    ``SeedSequence([seed, epoch, rank])`` stream, so the plan is identical
+    no matter how many loader workers later execute it; rank 0 draws what
+    ``SeedSequence([seed, epoch])`` draws.
     """
     pool = np.asarray(pool, dtype=np.int64)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch), int(rank)]))
     order = rng.permutation(pool)
     num_batches = -(-order.size // batch_size) if order.size else 0
     batch_seeds = rng.integers(0, np.iinfo(np.int64).max, size=num_batches)
@@ -148,6 +151,27 @@ def run_local_blocks(model, compact: CompactBlocks, feats: Tensor,
         h_rows = layer.update(h[out_local], nbr)
         h = scatter_rows(h_rows, out_local, compact.num_local)
     return h
+
+
+def train_step(model, batches: list, optimizer, strategy):
+    """One synchronous SGD step over one or more sampled batches.
+
+    Each batch forwards through :func:`run_local_blocks`; then one loss
+    over all their seeds, one backward and one optimizer step.  Returns
+    the loss tensor, the seed logits in batch order and each batch's
+    forward seconds."""
+    logits, forward_seconds = [], []
+    for batch in batches:
+        t0 = time.perf_counter()
+        h = run_local_blocks(model, batch.compact, batch.feats, strategy)
+        logits.append(h[batch.seed_rows])
+        forward_seconds.append(time.perf_counter() - t0)
+    logits = logits[0] if len(logits) == 1 else concat(logits, axis=0)
+    loss = cross_entropy(logits, np.concatenate([b.labels for b in batches]))
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step()
+    return loss, logits, forward_seconds
 
 
 @dataclass
@@ -291,10 +315,8 @@ class StreamingLoader:
         # Wire bytes: what the storage tier actually moved for this
         # gather (quantized codes + sidecars for a quantized source);
         # equals bytes_gathered only for unquantized storage.
-        wire_per_row = getattr(self.source, "wire_bytes_per_row", None)
-        wire = (int(wire_per_row) * int(compact.input_vertices.size)
-                if wire_per_row is not None else int(rows.nbytes))
-        obs.counter("loader.wire_bytes").add(wire)
+        obs.counter("loader.wire_bytes").add(
+            self.source.wire_bytes_per_row * int(compact.input_vertices.size))
 
         return SampledBatch(
             index=plan.index, epoch=plan.epoch, seeds=plan.seeds,
@@ -307,14 +329,14 @@ class StreamingLoader:
     # Epoch iteration
     # ------------------------------------------------------------------
     def epoch_batches(self, hdg: HDG, pool: np.ndarray, *, epoch: int,
-                      seed: int):
-        """Yield the epoch's batches in plan order.
+                      seed: int, rank: int = 0):
+        """Yield the epoch's batches (of data-parallel ``rank``) in plan order.
 
         With ``prefetch_depth == 0`` this is a plain generator; otherwise
         worker threads run the staged production ahead of the consumer,
         at most ``prefetch_depth`` batches deep.
         """
-        plans = plan_epoch(pool, self.batch_size, seed=seed, epoch=epoch)
+        plans = plan_epoch(pool, self.batch_size, seed=seed, epoch=epoch, rank=rank)
         if not plans:
             return iter(())
         if self.prefetch_depth == 0:

@@ -25,6 +25,7 @@ class DataSource(Protocol):
 
     num_vertices: int
     feat_dim: int
+    wire_bytes_per_row: int  # bytes one row moves in the stored format
 
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
         """Feature rows in the requested order, shape (len(rows), feat_dim)."""
@@ -51,6 +52,10 @@ class InMemorySource:
     @property
     def feature_dtype(self) -> np.dtype:
         return self.features.dtype
+
+    @property
+    def wire_bytes_per_row(self) -> int:
+        return self.feat_dim * self.features.dtype.itemsize
 
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
         return self.features[np.asarray(rows, dtype=np.int64)]
@@ -160,6 +165,10 @@ class _LabelOverride:
     @property
     def feature_dtype(self):
         return getattr(self._base, "feature_dtype", None)
+
+    @property
+    def wire_bytes_per_row(self) -> int:
+        return self._base.wire_bytes_per_row
 
     def gather_features(self, rows: np.ndarray) -> np.ndarray:
         return self._base.gather_features(rows)

@@ -104,6 +104,13 @@ class TestValidate:
         with pytest.raises(ValueError, match="total_flops"):
             bench.validate_report(report)
 
+    @pytest.mark.parametrize("key", ["total_flops", "peak_flops_per_sec"])
+    def test_empty_work_profile_rejected(self, key):
+        report = self._good()
+        report["configs"][1][key] = 0
+        with pytest.raises(ValueError, match="no work profile"):
+            bench.validate_report(report)
+
     def test_bad_schema_rejected(self):
         report = self._good()
         report["schema"] = "something/else"
@@ -236,6 +243,20 @@ class TestChromeTrace:
         for e in events:
             assert e["ph"] in ("X", "i", "M", "C")
             assert "pid" in e and "tid" in e and "name" in e
+
+    def test_validate_accepts_own_trace(self, smoke_outputs):
+        _report, trace = smoke_outputs
+        bench.validate_chrome_trace(trace)   # must not raise
+
+    @pytest.mark.parametrize("events, match", [
+        ([], "no events"),
+        ([{"ph": "B", "pid": 0, "tid": 0, "name": "s"}], "phase"),
+        ([{"ph": "C", "pid": 0, "name": "c"}], "missing"),
+        ([{"ph": "X", "pid": 0, "tid": 0, "name": "s"}], "no counter"),
+    ], ids=["empty", "bad-phase", "no-tid", "no-counter"])
+    def test_bad_trace_rejected(self, events, match):
+        with pytest.raises(ValueError, match=match):
+            bench.validate_chrome_trace({"traceEvents": events})
 
     def test_one_lane_pair_per_config(self, smoke_outputs):
         report, trace = smoke_outputs

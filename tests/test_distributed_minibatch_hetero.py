@@ -4,11 +4,13 @@ feature projection."""
 import numpy as np
 import pytest
 
-from repro.core import FlexGraphEngine, TypeProjection
+from repro.core import FlexGraphEngine, MiniBatchTrainer, TypeProjection
 from repro.datasets import load_dataset
 from repro.distributed import DistributedMiniBatchTrainer
 from repro.graph import hash_partition
+from repro.loader import plan_epoch
 from repro.models import gcn, magnn, pinsage
+from repro.storage import OnDiskDataset, write_ondisk_dataset
 from repro.tensor import Adam, Tensor
 
 
@@ -113,6 +115,82 @@ class TestDistributedMiniBatch:
         )
         # one synchronous optimizer step per round
         assert len(steps) == int(np.ceil(biggest_pool / 16))
+
+
+def _run(ds, model, trainer, epochs=3, feats=None, labels=None):
+    """Per-epoch losses and final parameters of ``trainer``."""
+    opt = Adam(model.parameters(), 0.01)
+    losses = [trainer.train_epoch(feats, labels, opt, ds.train_mask, e).loss
+              for e in range(epochs)]
+    return losses, [p.data.copy() for p in model.parameters()]
+
+
+class TestOneSampledPath:
+    """Both sampled trainers run the loader's plans through one train step."""
+
+    @pytest.mark.parametrize("prefetch", [0, 2])
+    @pytest.mark.parametrize("build", [
+        lambda ds: gcn(ds.feat_dim, 8, ds.num_classes, aggregator="mean"),
+        lambda ds: pinsage(ds.feat_dim, 8, ds.num_classes),
+    ], ids=["gcn-mean", "pinsage"])
+    def test_one_partition_equals_minibatch_trainer(self, ds, build, prefetch):
+        feats = Tensor(ds.features)
+        model = build(ds)
+        single = _run(ds, model, MiniBatchTrainer(
+            model, ds.graph, batch_size=32, fanouts=[4, 4], seed=3,
+            prefetch_depth=prefetch,
+        ), feats=feats, labels=ds.labels)
+        model = build(ds)
+        dist = _run(ds, model, DistributedMiniBatchTrainer(
+            model, ds.graph, np.zeros(ds.graph.num_vertices, dtype=int),
+            batch_size=32, fanouts=[4, 4], seed=3,
+        ), feats=feats, labels=ds.labels)
+        np.testing.assert_array_equal(single[0], dist[0])
+        for a, b in zip(single[1], dist[1]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_rank_zero_is_the_default_stream(self):
+        pool = np.arange(200)
+        for a, b in zip(plan_epoch(pool, 32, seed=5, epoch=2),
+                        plan_epoch(pool, 32, seed=5, epoch=2, rank=0)):
+            np.testing.assert_array_equal(a.seeds, b.seeds)
+            assert a.rng_seed == b.rng_seed
+
+    def test_other_ranks_draw_their_own_stream(self):
+        pool = np.arange(200)
+        a = plan_epoch(pool, 32, seed=5, epoch=2, rank=0)
+        b = plan_epoch(pool, 32, seed=5, epoch=2, rank=1)
+        assert not np.array_equal(a[0].seeds, b[0].seeds)
+        assert a[0].rng_seed != b[0].rng_seed
+
+    def test_ondisk_int8_dataset_without_feats(self, ds, tmp_path):
+        root = str(tmp_path / "int8")
+        write_ondisk_dataset(ds, root, rows_per_shard=64, quantize="int8")
+        od = OnDiskDataset(root)
+        model = gcn(ds.feat_dim, 8, ds.num_classes)
+        trainer = DistributedMiniBatchTrainer(
+            model, od, hash_partition(ds.graph.num_vertices, 2),
+            batch_size=32, fanouts=[3, 3],
+        )
+        stats = trainer.train_epoch(optimizer=Adam(model.parameters(), 0.01),
+                                    mask=ds.train_mask)
+        assert np.isfinite(stats.loss)
+        assert stats.total_bytes > 0
+        # remote rows move in the int8 wire format, not as float rows
+        assert stats.total_bytes % od.wire_bytes_per_row == 0
+
+    def test_in_ram_dataset_equals_explicit_feats(self, ds):
+        def trainer(model):
+            return DistributedMiniBatchTrainer(
+                model, ds, hash_partition(ds.graph.num_vertices, 2),
+                batch_size=32, fanouts=[3, 3],
+            )
+        model = gcn(ds.feat_dim, 8, ds.num_classes)
+        from_dataset = _run(ds, model, trainer(model), epochs=2)
+        model = gcn(ds.feat_dim, 8, ds.num_classes)
+        explicit = _run(ds, model, trainer(model), epochs=2,
+                        feats=Tensor(ds.features), labels=ds.labels)
+        np.testing.assert_array_equal(from_dataset[0], explicit[0])
 
 
 class TestTypeProjection:

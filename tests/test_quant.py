@@ -205,6 +205,25 @@ class TestGatherParity:
         compute = obs.counter("loader.bytes_gathered").total
         assert 0 < wire < compute / 3
 
+    def test_label_override_keeps_wire_format(self, dataset):
+        """An int8 source handed over with explicit labels still counts
+        the int8 wire bytes, not the dequantized rows it gathers."""
+        from repro import obs
+        from repro.core import FlexGraphEngine
+        from repro.models import gcn
+
+        obs.reset()
+        model = gcn(dataset.feat_dim, 8, dataset.num_classes, seed=0)
+        hdg = FlexGraphEngine(model, dataset.graph, seed=0).hdg_for_layer(0)
+        source = QuantizedSource(dataset.features, codec="int8")
+        loader = StreamingLoader(source, [3, 3], batch_size=32,
+                                 prefetch_depth=0, labels=dataset.labels)
+        rows = sum(batch.compact.num_local for batch in
+                   loader.epoch_batches(hdg, np.arange(64), epoch=0, seed=0))
+        assert obs.counter("loader.wire_bytes").total == (
+            rows * source.wire_bytes_per_row)
+        assert loader.source.wire_bytes_per_row == source.wire_bytes_per_row
+
 
 # ---------------------------------------------------------------------------
 # Sparse-gradient embedding optimizer

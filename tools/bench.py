@@ -44,7 +44,10 @@ two reports' ``calibration_seconds`` when both carry one, so a slower
 CI host does not read as a regression.  ``--chrome-trace`` merges every
 configuration's spans into one Chrome Trace Event Format file (one
 process-lane pair per config), loadable in chrome://tracing or
-https://ui.perfetto.dev.
+https://ui.perfetto.dev.  Every report is checked against its schema
+(``validate_report``, ``validate_dist_report``, ...) before it is
+written, and the Chrome trace by ``validate_chrome_trace``; a violation
+exits nonzero.
 """
 
 from __future__ import annotations
@@ -840,6 +843,12 @@ def validate_report(report: dict) -> None:
             raise ValueError(f"config {row['name']!r} has non-positive median")
         if row["p90_epoch_seconds"] < row["median_epoch_seconds"]:
             raise ValueError(f"config {row['name']!r} has p90 < median")
+        if schema == SCHEMA and not (row["total_flops"] > 0
+                                     and row["peak_flops_per_sec"] > 0):
+            raise ValueError(
+                f"config {row['name']!r} has no work profile "
+                f"(non-positive total_flops or peak_flops_per_sec)"
+            )
     # Fused edge attention: GAT under HA keeps only the E attention
     # scalars per layer, so its peak must sit below GCN under SA, which
     # materializes a whole (E, dim) message tensor.
@@ -854,6 +863,23 @@ def validate_report(report: dict) -> None:
             f"gat-single-ha materializes {gat_peak} bytes at peak, not "
             f"below gcn-single-sa's {sa_peak}: attention is not fused"
         )
+
+
+def validate_chrome_trace(trace: dict) -> None:
+    """Raise ValueError when a ``--chrome-trace`` file is not a loadable
+    Chrome trace: no events, a phase other than X/i/M/C, an event without
+    pid/tid/name, or no counter track."""
+    events = trace.get("traceEvents")
+    if not events:
+        raise ValueError("chrome trace has no events")
+    for event in events:
+        if event.get("ph") not in ("X", "i", "M", "C"):
+            raise ValueError(f"chrome trace event has phase {event.get('ph')!r}")
+        missing = [key for key in ("pid", "tid", "name") if key not in event]
+        if missing:
+            raise ValueError(f"chrome trace event missing {missing}: {event}")
+    if not any(event["ph"] == "C" for event in events):
+        raise ValueError("chrome trace has no counter tracks")
 
 
 def compare_reports(fresh: dict, baseline: dict,
@@ -1015,6 +1041,9 @@ def main(argv: list[str] | None = None) -> int:
               f"planned vs unplanned")
         report["configs"].extend(run_kernel_matrix(scale, args.seed))
     validate_report(report)
+    if args.chrome_trace:
+        with open(args.chrome_trace) as fh:
+            validate_chrome_trace(json.load(fh))
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
