@@ -196,11 +196,7 @@ class MetapathHDGMaintainer:
             else np.asarray(removed, dtype=np.int64).reshape(-1, 2)
         )
         old_graph = self.graph
-        new_graph = old_graph
-        if removed.size:
-            new_graph = new_graph.with_edges_removed(removed)
-        if added.size:
-            new_graph = new_graph.with_edges_added(added)
+        new_graph = old_graph.with_edge_changes(added, removed)
         delta = 0
         touched: list[np.ndarray] = []
         changed = (

@@ -54,19 +54,17 @@ class Graph:
         self.num_vertices = int(num_vertices)
         self.num_edges = int(src.size)
 
-        # CSR (out-edges): sort edges by src.
+        # CSR (out-edges): sort edges by src, ties in input order.
         order = np.argsort(src, kind="stable")
         self._csr_indices = dst[order]
-        self._csr_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=num_vertices), out=self._csr_indptr[1:])
-        self._csr_eid = order  # original edge id per CSR slot
+        self._csr_indptr = _row_offsets(src, num_vertices)
 
-        # CSC (in-edges): sort edges by dst.
-        order_in = np.argsort(dst, kind="stable")
-        self._csc_indices = src[order_in]
-        self._csc_indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=num_vertices), out=self._csc_indptr[1:])
-        self._csc_eid = order_in
+        # CSC (in-edges): sort the CSR slots by dst, so each CSC row is
+        # sorted by source.  That canonical order is what lets
+        # with_edge_changes splice rows and still equal a rebuild.
+        order_in = np.argsort(self._csr_indices, kind="stable")
+        self._csc_indices = src[order][order_in]
+        self._csc_indptr = _row_offsets(dst, num_vertices)
 
         if vertex_types is None:
             self.vertex_types = np.zeros(num_vertices, dtype=np.int64)
@@ -157,18 +155,26 @@ class Graph:
     def edge_multiplicity(self, pairs) -> np.ndarray:
         """Parallel-edge count for each directed ``(u, v)`` pair.
 
-        Vectorized over an ``(m, 2)`` array: a searchsorted range query
-        against the sorted edge-key multiset, so multigraph-aware callers
-        (incremental metapath maintenance) get exact multiplicities in
-        ``O(m log E)``.
+        Vectorized over an ``(m, 2)`` array and row-local: only the
+        queried sources' CSR rows are gathered and sorted, so
+        multigraph-aware callers (incremental metapath maintenance) pay
+        for the rows they ask about, not for all E edges.  A pair with an
+        out-of-range id counts 0.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        src, dst = self.edges()
-        keys = np.sort(src * np.int64(self.num_vertices) + dst)
-        query = pairs[:, 0] * np.int64(self.num_vertices) + pairs[:, 1]
-        lo = np.searchsorted(keys, query, side="left")
-        hi = np.searchsorted(keys, query, side="right")
-        return (hi - lo).astype(np.int64)
+        n = self.num_vertices
+        counts = np.zeros(pairs.shape[0], dtype=np.int64)
+        valid = ((pairs >= 0) & (pairs < n)).all(axis=1)
+        if not valid.any():
+            return counts
+        src, dst = pairs[valid, 0], pairs[valid, 1]
+        rows = np.unique(src)
+        slots, owner = _row_slots(self._csr_indptr, rows)
+        keys = np.sort(rows[owner] * np.int64(n) + self._csr_indices[slots])
+        query = src * np.int64(n) + dst
+        counts[valid] = (np.searchsorted(keys, query, side="right")
+                         - np.searchsorted(keys, query, side="left"))
+        return counts
 
     def vertices_of_type(self, type_id: int) -> np.ndarray:
         """All vertex ids of the given type."""
@@ -226,45 +232,51 @@ class Graph:
         return Graph(self.num_vertices, dst, src, self.vertex_types, self.type_names)
 
     def with_edges_added(self, edges) -> "Graph":
-        """A new graph with extra edges (dynamic-graph evolution step).
-
-        Adjacency indexes are rebuilt (CSR/CSC are immutable); vertex
-        types carry over.  Edge endpoints must already be valid ids.
-        """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        src, dst = self.edges()
-        return Graph(
-            self.num_vertices,
-            np.concatenate([src, edges[:, 0]]),
-            np.concatenate([dst, edges[:, 1]]),
-            self.vertex_types,
-            self.type_names,
-        )
+        """A new graph with extra edges; see :meth:`with_edge_changes`."""
+        return self.with_edge_changes(added=edges)
 
     def with_edges_removed(self, edges) -> "Graph":
-        """A new graph with the given directed edges removed.
+        """A new graph with edges removed; see :meth:`with_edge_changes`."""
+        return self.with_edge_changes(removed=edges)
 
-        Each listed ``(u, v)`` removes *one* occurrence of that edge
-        (multi-edges lose one copy per mention); absent edges are
-        ignored.
+    def with_edge_changes(self, added=None, removed=None) -> "Graph":
+        """A new graph with ``removed`` edges dropped, then ``added`` ones
+        appended (the dynamic-graph evolution step).
+
+        Each listed ``(u, v)`` in ``removed`` drops *one* copy of that
+        edge, the first in CSR order (multi-edges lose one copy per
+        mention); absent edges are ignored.  Ids outside ``0..n-1`` in
+        either list raise ``ValueError``.  Vertex types carry over.
+
+        Only the changed rows are searched: a removal inside row ``u`` of
+        CSR and row ``v`` of CSC; an addition lands at the end of its CSR
+        row and at its sorted place in its CSC row.  The rest of the cost
+        is one ``np.delete`` and one ``np.insert`` per index.  The result
+        is bitwise equal, in all four adjacency arrays, to
+        ``Graph(n, src, dst)`` built from this graph's ``edges()`` with
+        the same edits, and it is always a new object: this graph's
+        arrays are never written.
         """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        src, dst = self.edges()
-        key = src * self.num_vertices + dst
-        remove_key = edges[:, 0] * self.num_vertices + edges[:, 1]
-        remove_counts: dict[int, int] = {}
-        for k in remove_key:
-            remove_counts[int(k)] = remove_counts.get(int(k), 0) + 1
-        keep = np.ones(key.size, dtype=bool)
-        for i, k in enumerate(key):
-            k = int(k)
-            if remove_counts.get(k, 0) > 0:
-                keep[i] = False
-                remove_counts[k] -= 1
-        return Graph(
-            self.num_vertices, src[keep], dst[keep],
-            self.vertex_types, self.type_names,
+        n = self.num_vertices
+        added = _edge_array(added, n, "added")
+        removed = _edge_array(removed, n, "removed")
+        csr_indptr, csr_indices = _splice(
+            self._csr_indptr, self._csr_indices, removed[:, 0], removed[:, 1],
+            added[:, 0], added[:, 1], n, sorted_rows=False,
         )
+        csc_indptr, csc_indices = _splice(
+            self._csc_indptr, self._csc_indices, removed[:, 1], removed[:, 0],
+            added[:, 1], added[:, 0], n, sorted_rows=True,
+        )
+        out = object.__new__(Graph)
+        out.num_vertices = n
+        out.num_edges = int(csr_indices.size)
+        out._csr_indptr, out._csr_indices = csr_indptr, csr_indices
+        out._csc_indptr, out._csc_indices = csc_indptr, csc_indices
+        out.vertex_types = self.vertex_types
+        out.num_types = self.num_types
+        out.type_names = self.type_names
+        return out
 
     def fingerprint(self) -> str:
         """Stable hex digest of the graph's structure.
@@ -303,3 +315,88 @@ class Graph:
             f"Graph(num_vertices={self.num_vertices}, num_edges={self.num_edges}, "
             f"num_types={self.num_types})"
         )
+
+
+# ----------------------------------------------------------------------
+# Adjacency helpers: indptr offsets and the row-local splice
+# ----------------------------------------------------------------------
+def _edge_array(edges, num_vertices: int, name: str) -> np.ndarray:
+    """``edges`` as an ``(m, 2)`` int64 array with its ids checked."""
+    if edges is None:
+        return np.empty((0, 2), dtype=np.int64)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if edges.size and (edges.min() < 0 or edges.max() >= num_vertices):
+        raise ValueError(f"{name} edge vertex id out of range")
+    return edges
+
+
+def _row_slots(indptr: np.ndarray, rows: np.ndarray):
+    """Slots of the sorted unique ``rows``, concatenated row by row, and
+    the position in ``rows`` that owns each slot."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lengths)
+    first = np.cumsum(lengths) - lengths
+    return starts[owner] + np.arange(owner.size) - first[owner], owner
+
+
+def _splice(indptr, indices, drop_rows, drop_cols, add_rows, add_cols, n,
+            sorted_rows: bool):
+    """One adjacency index (CSR or CSC) with one entry dropped per
+    ``(drop_rows, drop_cols)`` mention and the additions inserted.
+
+    An addition goes to its row's end, in the order given, or, with
+    ``sorted_rows``, after the row's last entry ``<=`` it (CSC rows are
+    sorted by source).  Returns new arrays; the inputs are not written.
+    """
+    drop, dropped_rows = _matching_slots(indptr, indices, drop_rows,
+                                         drop_cols, n)
+    indices = np.delete(indices, drop)
+    indptr = indptr - _row_offsets(dropped_rows, n)
+    if not add_rows.size:
+        return indptr, indices
+    if sorted_rows:
+        order = np.lexsort((add_cols, add_rows))
+        add_rows, add_cols = add_rows[order], add_cols[order]
+        rows = np.unique(add_rows)
+        slots, owner = _row_slots(indptr, rows)
+        keys = rows[owner] * np.int64(n) + indices[slots]
+        # Position among the gathered rows, rebased onto the row's slots.
+        at = np.searchsorted(keys, add_rows * np.int64(n) + add_cols,
+                             side="right")
+        first = np.searchsorted(owner, np.searchsorted(rows, add_rows))
+        at = indptr[add_rows] + at - first
+    else:
+        order = np.argsort(add_rows, kind="stable")
+        add_rows, add_cols = add_rows[order], add_cols[order]
+        at = indptr[add_rows + 1]
+    return (indptr + _row_offsets(add_rows, n),
+            np.insert(indices, at, add_cols))
+
+
+def _matching_slots(indptr, indices, rows, cols, n):
+    """The slots that ``(rows, cols)`` removals drop, sorted, and their
+    rows: each mention takes the first remaining matching entry of its
+    row, and a pair with no entry left takes nothing."""
+    if not rows.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    wanted, count = np.unique(rows * np.int64(n) + cols, return_counts=True)
+    touched = np.unique(rows)
+    slots, owner = _row_slots(indptr, touched)
+    keys = touched[owner] * np.int64(n) + indices[slots]
+    # Rank of each slot among its row's equal entries, in slot order.
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    rank = np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+    hit = np.minimum(np.searchsorted(wanted, ranked), wanted.size - 1)
+    limit = np.where(wanted[hit] == ranked, count[hit], 0)
+    picked = np.sort(order[rank < limit])
+    return slots[picked], touched[owner[picked]]
+
+
+def _row_offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """``(n + 1,)`` running count of ``rows``: the indptr of one entry
+    per listed row, or the shift an indptr takes when they are added."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets

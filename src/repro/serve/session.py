@@ -307,11 +307,7 @@ class InferenceSession:
                 self.graph = self.maintainer.graph
                 touched = self.maintainer.last_touched_roots
             else:
-                graph = self.graph
-                if removed_arr.size:
-                    graph = graph.with_edges_removed(removed_arr)
-                if added_arr.size:
-                    graph = graph.with_edges_added(added_arr)
+                graph = self.graph.with_edge_changes(added_arr, removed_arr)
                 self.graph = graph
                 if (
                     type(self.model).neighbor_selection

@@ -49,6 +49,106 @@ class TestGraphEvolution:
         assert g2.type_names == hgraph.type_names
 
 
+ADJACENCY = ("_csr_indptr", "_csr_indices", "_csc_indptr", "_csc_indices")
+
+
+def rebuilt(graph, added, removed):
+    """From-scratch Graph of ``graph.edges()`` edited the reference way:
+    each removal drops the first remaining copy in CSR order, then the
+    additions are appended."""
+    src, dst = graph.edges()
+    keep = np.ones(src.size, dtype=bool)
+    for u, v in np.asarray(removed, dtype=np.int64).reshape(-1, 2):
+        hits = np.flatnonzero(keep & (src == u) & (dst == v))
+        if hits.size:
+            keep[hits[0]] = False
+    added = np.asarray(added, dtype=np.int64).reshape(-1, 2)
+    return Graph(graph.num_vertices,
+                 np.concatenate([src[keep], added[:, 0]]),
+                 np.concatenate([dst[keep], added[:, 1]]),
+                 graph.vertex_types, graph.type_names)
+
+
+def assert_same_adjacency(got, want):
+    assert got.num_edges == want.num_edges
+    for name in ADJACENCY:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestWithEdgeChanges:
+    """with_edge_changes splices rows; it must equal a full rebuild."""
+
+    MULTI = Graph.from_edges(
+        4, [[0, 1], [0, 1], [1, 1], [2, 0], [0, 1], [3, 2], [2, 2], [1, 3]]
+    )
+
+    @pytest.mark.parametrize("added, removed", [
+        ([], []),                                   # empty both
+        ([[0, 1], [2, 0]], []),                     # duplicates of existing
+        ([], [[0, 1]]),                             # one copy of a multi-edge
+        ([], [[0, 1], [0, 1], [0, 1]]),             # every copy
+        ([], [[0, 1]] * 5),                         # more mentions than copies
+        ([[1, 1], [2, 2], [1, 1]], [[1, 1], [2, 2]]),  # self-loops
+        ([[3, 3]], [[3, 0], [0, 3], [2, 1]]),       # absent removals
+        ([[1, 0], [0, 2], [1, 0], [3, 1]], [[0, 1], [1, 3], [3, 2]]),
+    ])
+    def test_bitwise_equal_to_rebuild_cases(self, added, removed):
+        got = self.MULTI.with_edge_changes(added, removed)
+        assert_same_adjacency(got, rebuilt(self.MULTI, added, removed))
+
+    def test_bitwise_equal_to_rebuild_random(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 10))
+            e = int(rng.integers(0, 30))
+            graph = Graph(n, rng.integers(0, n, e), rng.integers(0, n, e))
+            for _ in range(3):
+                src, dst = graph.edges()
+                k = int(rng.integers(0, 5))
+                removed = np.stack([rng.integers(0, n, k),
+                                    rng.integers(0, n, k)], axis=1)
+                if src.size:
+                    pick = rng.integers(0, src.size, int(rng.integers(0, 5)))
+                    removed = np.concatenate(
+                        [removed, np.stack([src[pick], dst[pick]], axis=1)]
+                    )
+                k = int(rng.integers(0, 5))
+                added = np.stack([rng.integers(0, n, k),
+                                  rng.integers(0, n, k)], axis=1)
+                got = graph.with_edge_changes(added, removed)
+                assert_same_adjacency(got, rebuilt(graph, added, removed))
+                graph = got
+
+    def test_input_graph_unchanged(self):
+        before = {name: getattr(self.MULTI, name).copy() for name in ADJACENCY}
+        out = self.MULTI.with_edge_changes([[3, 3], [0, 1]], [[0, 1], [2, 2]])
+        assert out is not self.MULTI
+        for name in ADJACENCY:
+            np.testing.assert_array_equal(getattr(self.MULTI, name),
+                                          before[name])
+            assert not np.shares_memory(getattr(out, name),
+                                        getattr(self.MULTI, name))
+
+    def test_out_of_range_removal_raises(self):
+        # Keyed as u * n + v, (0, 4) aliased 1 -> 1 on 3 vertices and
+        # deleted it.
+        g = Graph.from_edges(3, [[0, 1], [1, 1]])
+        with pytest.raises(ValueError, match="removed"):
+            g.with_edges_removed([[0, 4]])
+        with pytest.raises(ValueError, match="removed"):
+            g.with_edges_removed([[-1, 1]])
+        assert g.has_edge(1, 1)
+
+    def test_out_of_range_addition_raises(self):
+        g = Graph.from_edges(3, [[0, 1]])
+        with pytest.raises(ValueError, match="added"):
+            g.with_edges_added([[0, 3]])
+        with pytest.raises(ValueError, match="added"):
+            g.with_edges_added([[-1, 0]])
+
+
 class TestInstancesThroughEdges:
     def test_absent_edge_yields_nothing(self, hgraph):
         # A (movie, director) pair with no edge between them.

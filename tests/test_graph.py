@@ -115,6 +115,36 @@ class TestAdjacency:
         assert g.out_degree(0) == 2
 
 
+    def test_csc_rows_sorted_by_source(self):
+        rng = np.random.default_rng(3)
+        g = Graph(20, rng.integers(0, 20, 300), rng.integers(0, 20, 300))
+        indptr, indices = g.csc
+        for v in range(20):
+            row = indices[indptr[v]:indptr[v + 1]]
+            np.testing.assert_array_equal(row, np.sort(row))
+
+    def test_edge_multiplicity_matches_sorted_keys(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(1, 15))
+            e = int(rng.integers(0, 60))
+            g = Graph(n, rng.integers(0, n, e), rng.integers(0, n, e))
+            src, dst = g.edges()
+            keys = np.sort(src * n + dst)
+            pairs = np.stack([rng.integers(0, n, 25),
+                              rng.integers(0, n, 25)], axis=1)
+            query = pairs[:, 0] * n + pairs[:, 1]
+            want = (np.searchsorted(keys, query, side="right")
+                    - np.searchsorted(keys, query, side="left"))
+            np.testing.assert_array_equal(g.edge_multiplicity(pairs), want)
+
+    def test_edge_multiplicity_out_of_range_is_zero(self):
+        g = Graph.from_edges(3, [[0, 1], [1, 1]])
+        np.testing.assert_array_equal(
+            g.edge_multiplicity([[0, 4], [-1, 1], [1, 1]]), [0, 0, 1]
+        )
+
+
 class TestDerivedGraphs:
     def test_subgraph_relabels(self, sample):
         sub, original = sample.subgraph(np.array([0, 1, 3]))

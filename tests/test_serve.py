@@ -7,6 +7,7 @@ import pytest
 from repro.core import FlexGraphEngine, MetapathHDGMaintainer
 from repro.core.sampling import build_block, build_seed_blocks
 from repro.datasets import load_dataset
+from repro.graph import Graph
 from repro.models import gcn, magnn, pinsage
 from repro.models.magnn import default_metapaths
 from repro.serve import (
@@ -414,6 +415,38 @@ class TestInvalidation:
                      .with_edges_added(added))
         fresh = FlexGraphEngine(model, new_graph, seed=0)
         expected = fresh.embed(Tensor(reddit.features))
+        np.testing.assert_allclose(session.embed(all_v), expected, atol=1e-6)
+
+    def test_write_sequence_matches_rebuilt_graph(self, reddit):
+        """A sequence of spliced writes leaves the pinned graph bitwise
+        equal to a from-scratch rebuild, and serves full-graph rows."""
+        model, _ = trained(gcn, reddit)
+        session = InferenceSession(model, reddit.graph, reddit.features)
+        all_v = np.arange(reddit.graph.num_vertices)
+        session.embed(all_v)
+        rng = np.random.default_rng(0)
+        n = reddit.graph.num_vertices
+        src, dst = reddit.graph.edges()
+        expected_src, expected_dst = src, dst
+        for _ in range(4):
+            pick = rng.integers(0, expected_src.size, 3)
+            removed = np.stack([expected_src[pick], expected_dst[pick]], 1)
+            added = rng.integers(0, n, (3, 2))
+            session.apply_edge_changes(added=added, removed=removed)
+            # Reference edit on the edge list: first copy of each removal.
+            keep = np.ones(expected_src.size, dtype=bool)
+            for u, v in removed:
+                keep[np.flatnonzero(keep & (expected_src == u)
+                                    & (expected_dst == v))[0]] = False
+            rebuilt = Graph(n, np.concatenate([expected_src[keep], added[:, 0]]),
+                            np.concatenate([expected_dst[keep], added[:, 1]]))
+            expected_src, expected_dst = rebuilt.edges()
+        for name in ("_csr_indptr", "_csr_indices", "_csc_indptr",
+                     "_csc_indices"):
+            np.testing.assert_array_equal(getattr(session.graph, name),
+                                          getattr(rebuilt, name))
+        expected = FlexGraphEngine(model, rebuilt, seed=0).embed(
+            Tensor(reddit.features))
         np.testing.assert_allclose(session.embed(all_v), expected, atol=1e-6)
 
     def test_gcn_unaffected_entries_survive_with_hits(self, reddit):

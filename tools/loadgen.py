@@ -39,6 +39,7 @@ Usage::
     python tools/loadgen.py --smoke          # tiny/fast variant (CI)
     python tools/loadgen.py --model magnn --dataset imdb
     python tools/loadgen.py --output path.json
+    python tools/loadgen.py --check path.json   # serve-smoke CI gate
 """
 
 from __future__ import annotations
@@ -259,6 +260,27 @@ def validate_report(report: dict) -> None:
         raise ValueError("overload phase never shed — bound not exercised")
 
 
+def check_smoke_report(report: dict) -> str:
+    """The serve-smoke CI gate: a valid report whose closed loop earned a
+    warm-cache hit rate of at least 50% and whose overload phase shed
+    load while still timing admitted requests.
+
+    Raises ValueError naming the first failed gate; returns the one-line
+    summary CI prints on success.
+    """
+    validate_report(report)
+    closed, overload = report["closed_loop"], report["overload"]
+    if closed["cache_hit_rate"] < 0.5:
+        raise ValueError(
+            f"warm-cache hit rate {closed['cache_hit_rate']:.1%} < 50%"
+        )
+    if overload["p99_ms"] <= 0:
+        raise ValueError("no admitted-request latencies")
+    return (f"serve smoke ok: p99 {closed['p99_ms']:.2f}ms, "
+            f"hit rate {closed['cache_hit_rate']:.1%}, "
+            f"shed rate {overload['shed_rate']:.1%}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description="serving SLO workload -> BENCH_serve_latency.json"
@@ -297,7 +319,20 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--slo-p99-ms", type=float, default=None,
                         help="rolling-window p99 SLO (ms) for breach "
                              "snapshots; needs --flight-dir")
+    parser.add_argument("--check", metavar="REPORT", default=None,
+                        help="run no workload; apply the serve-smoke gate "
+                             "to REPORT and exit 1 if it fails")
     args = parser.parse_args(argv)
+
+    if args.check:
+        with open(args.check) as fh:
+            report = json.load(fh)
+        try:
+            print(check_smoke_report(report))
+        except ValueError as exc:
+            print(f"serve smoke gate FAILED: {exc}")
+            return 1
+        return 0
 
     if args.scale is None:
         args.scale = "tiny" if args.smoke else "small"
